@@ -33,6 +33,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from time import perf_counter
 
 BENCH = os.path.dirname(os.path.abspath(__file__))
@@ -49,7 +50,7 @@ from worker import GROUPS, VERIFY_ITEMS  # noqa: E402
 PY = sys.executable
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-SETUP_REPEATS = 3
+SETUP_REPEATS = 9          # set-ups per run; setup_s is their median
 CLI_PROBE_REPEATS = 5
 TAIL_BEYOND = 10
 
@@ -239,10 +240,28 @@ def digest(stdout: bytes, code: int) -> str:
 
 
 # -- workloads ------------------------------------------------------------------
-# Workload.run measures whole rounds of the seeded stream until the timed phase
-# (the sum of the operations' wall times) reaches --seconds, or replays a given
-# list of rounds.  It returns the per-op records (latency_ms, error), the rounds
-# it ran, the timed seconds, the work units done, and the set-up times.
+# Workload.run measures round_count whole rounds of the seeded stream, or
+# replays a given list of rounds.  Unless it replays, it also times
+# SETUP_REPEATS set-ups between the operations (see setup_slots).  It returns
+# the per-op records (latency_ms, error), the rounds it ran, the timed seconds
+# (the sum of the operations' wall times), the work units done, and the
+# set-up times.
+
+def setup_slots(rounds: list) -> Counter:
+    """Operation index -> set-ups to time just before that operation:
+    SETUP_REPEATS in all, spread evenly over the run.  The machine's speed
+    drifts in stretches of seconds (one set-up took 0.6 s in some stretches
+    and 0.9 s in others), so set-ups made back to back land in one stretch;
+    spread out, they see the same stretches as the timed operations."""
+    n = sum(len(r) for r in rounds)
+    return Counter(k * n // SETUP_REPEATS for k in range(SETUP_REPEATS))
+
+
+def library_setup() -> float:
+    """Set-up time of a fresh worker, closed once it is ready."""
+    with Session() as s:
+        return s.setup_s
+
 
 def op_record(latency_ms: float, error: str | None) -> dict:
     return {"latency_ms": latency_ms, "error": error}
@@ -272,18 +291,15 @@ class DeepSpectrum(Workload):
     unit = "levels/s"
 
     def run(self, replay: list | None = None, trace_file: str | None = None) -> dict:
-        setup = []
-        if trace_file is None:
-            for _ in range(SETUP_REPEATS - 1):
-                with Session() as s:
-                    setup.append(s.setup_s)
-        done, executed, timed = [], [], 0.0
+        rounds = replay or take(deep_ops(self.seed), round_count(self.seconds, self.round_s))
+        slots = Counter() if replay else setup_slots(rounds)
+        done, executed, setup, timed = [], [], [], 0.0
         with Session(trace_file, reference_data=True) as sess:
-            setup.append(sess.setup_s)
             ref = sess.ready["reference"]
             check_irrep_names(ref)
-            for round_ in replay or take(deep_ops(self.seed), round_count(self.seconds, self.round_s)):
+            for round_ in rounds:
                 for op in round_:
+                    setup += [library_setup() for _ in range(slots[len(done)])]
                     t0 = perf_counter()
                     res = sess.request(op)
                     timed += perf_counter() - t0
@@ -303,15 +319,17 @@ class VerifyHarness(Workload):
     unit = "checks/s"
 
     def run(self, replay: list | None = None, trace_file: str | None = None) -> dict:
+        rounds = replay or take(verify_passes(self.seed),
+                                round_count(self.seconds, self.round_s))
+        slots = Counter() if replay else setup_slots(rounds)
         records, executed, setup, timed, units = [], [], [], 0.0, 0
         prov = None
-        for items in replay or take(verify_passes(self.seed),
-                                    round_count(self.seconds, self.round_s)):
+        for items in rounds:
             tf = f"{trace_file}.{len(executed)}" if trace_file else None
             with Session(tf) as sess:
-                setup.append(sess.setup_s)
                 prov = sess.ready["provenance"]
                 for item in items:
+                    setup += [library_setup() for _ in range(slots[len(records)])]
                     t0 = perf_counter()
                     res = sess.request({"op": "verify", "item": item})
                     timed += perf_counter() - t0
@@ -352,13 +370,15 @@ class ColdCli(Workload):
         return None
 
     def run(self, replay: list | None = None, trace_file: str | None = None) -> dict:
-        setup, warm = [], None
-        for k in range(SETUP_REPEATS if trace_file is None else 1):
-            warm = os.path.join(WORK, f"warm-{k}")
-            setup.append(self.populate(warm))
-        records, executed, timed = [], [], 0.0
-        for block in replay or take(cli_ops(self.seed), round_count(self.seconds, self.round_s)):
+        rounds = replay or take(cli_ops(self.seed), round_count(self.seconds, self.round_s))
+        # a replay still needs the warm cache before its first operation
+        slots = Counter({0: 1}) if replay else setup_slots(rounds)
+        records, executed, setup, timed = [], [], [], 0.0
+        warm = os.path.join(WORK, "warm-0")
+        for block in rounds:
             for argv, mode in block:
+                for _ in range(slots[len(records)]):
+                    setup.append(self.populate(os.path.join(WORK, f"warm-{len(setup)}")))
                 fresh = os.path.join(WORK, f"fresh-{len(records)}")
                 tf = f"{trace_file}.{len(records)}" if trace_file else None
                 t0 = perf_counter()
@@ -452,13 +472,20 @@ def probe_parts_for(layer: dict) -> dict:
 
 
 def layer_metrics(stats: dict, counts) -> dict:
-    """Per-layer metrics from span statistics; None where the traced work
-    never entered the code that defines the metric."""
+    """Per-layer metrics from span statistics and counters.
+
+    Counts are the traced work's own, 0 where it made none.  A time or a
+    ratio is None (and then measured on the layer probe) where the traced
+    work never called the entry point that defines it: a time of code never
+    run, or a ratio with a zero base, says nothing about the layer."""
     def st(name, key="incl_s"):
         return stats.get(name, {}).get(key, 0)
 
     def calls(name):
         return st(name, "calls")
+
+    def layer_calls(layer):
+        return sum(s["calls"] for n, s in stats.items() if n.startswith(layer + "."))
 
     def layer_self(layer):
         return sum(s["self_s"] for n, s in stats.items() if n.startswith(layer + "."))
@@ -466,14 +493,13 @@ def layer_metrics(stats: dict, counts) -> dict:
     def when(cond, value):
         return value if cond else None
 
-    levels = calls("spectra.degeneracy")
+    levels = counts["spectra.levels"]
     loads, saves = calls("groups.load_group"), calls("groups.save_group")
-    induction_calls = sum(s["calls"] for n, s in stats.items() if n.startswith("induction."))
-    mckay_calls = sum(s["calls"] for n, s in stats.items() if n.startswith("mckay."))
     ip = calls("characters.inner_product")
+    oracle = calls("spectra.oracle_projector_degeneracy")
     out = {
-        "exactnum.mul_calls": when(counts["exactnum.mul"], counts["exactnum.mul"]),
-        "exactnum.add_calls": when(counts["exactnum.add"], counts["exactnum.add"]),
+        "exactnum.mul_calls": counts["exactnum.mul"],
+        "exactnum.add_calls": counts["exactnum.add"],
         "groups.build_s": when(calls("groups.build_binary_polyhedral"),
                                st("groups.build_binary_polyhedral")),
         "groups.load_s": when(loads, st("groups.load_group")),
@@ -481,24 +507,21 @@ def layer_metrics(stats: dict, counts) -> dict:
         "groups.cache_hit_ratio": when(loads + saves, loads / max(1, loads + saves)),
         "characters.table_s": when(calls("characters.character_table"),
                                    st("characters.character_table")),
-        "characters.spin_character_calls": when(calls("characters.spin_character"),
-                                                calls("characters.spin_character")),
-        "characters.inner_product_calls": when(ip, ip),
+        "characters.spin_character_calls": calls("characters.spin_character"),
+        "characters.inner_product_calls": ip,
         "characters.inner_product_s": when(ip, st("characters.inner_product")),
-        "spectra.levels": when(levels, levels),
+        "spectra.levels": levels,
         "spectra.series_self_s": when(levels, st("spectra.degeneracy_series", "self_s")
                                       + st("spectra.degeneracy", "self_s")),
         "spectra.ip_per_level": when(levels, ip / max(1, levels)),
         "spectra.sum_s": when(calls("spectra.spectral_sum"), st("spectra.spectral_sum")),
-        "spectra.oracle_s": when(calls("spectra.oracle_projector_degeneracy"),
-                                 st("spectra.oracle_projector_degeneracy")),
-        "spectra.oracle_calls": when(calls("spectra.oracle_projector_degeneracy"),
-                                     calls("spectra.oracle_projector_degeneracy")),
-        "induction.self_s": when(induction_calls, layer_self("induction")),
-        "induction.induce_calls": when(induction_calls, calls("induction.induce_character")),
+        "spectra.oracle_s": when(oracle, st("spectra.oracle_projector_degeneracy")),
+        "spectra.oracle_calls": oracle,
+        "induction.self_s": when(layer_calls("induction"), layer_self("induction")),
+        "induction.induce_calls": calls("induction.induce_character"),
         "induction.monomial_verify_s": when(calls("induction.verify_monomial_rep"),
                                             st("induction.verify_monomial_rep")),
-        "mckay.self_s": when(mckay_calls, layer_self("mckay")),
+        "mckay.self_s": when(layer_calls("mckay"), layer_self("mckay")),
     }
     for item in VERIFY_ITEMS:
         out[f"verify.{item}_s"] = when(calls(f"verify.{item}"),

@@ -3,14 +3,16 @@
     python3 perfbench/selftest.py          (or: python3 -m pytest perfbench/selftest.py)
 
 Run from the root of a checkout.  They check that a seed fixes the operation
-list, that the bench-side references agree with the library at small n, and
-that a wrong expected value shows up as a non-zero error rate.
+list, that the bench-side references agree with the library at small n,
+that a wrong expected value shows up as a non-zero error rate, and that the
+traced run counts levels where the spectra layer delivers them.
 """
 
 import copy
 import os
 import sys
 import unittest
+from collections import Counter
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,6 +77,32 @@ class ReferencesAgree(unittest.TestCase):
         for op in run.take(run.deep_ops(5), 1)[0]:
             op = dict(op, n_max=SMALL_N, count_lambda=500.0)
             self.assertIsNone(reference.check_deep(op, self.w.deep(op), self.ref), op)
+
+
+class LayerMetrics(unittest.TestCase):
+    def test_levels_are_counted_where_they_are_delivered(self):
+        os.makedirs(run.WORK, exist_ok=True)
+        trace_file = os.path.join(run.WORK, "selftest-trace.json")
+        op = dict(run.take(run.deep_ops(2), 1)[0][0], n_max=SMALL_N)
+        with run.Session(trace_file) as sess:
+            sess.request(op)
+        spans, counts = run.tracing.load([trace_file])
+        layer = run.layer_metrics(run.tracing.span_stats(spans), counts)
+        self.assertEqual(layer["spectra.levels"], SMALL_N + 1)
+        self.assertGreater(layer["spectra.ip_per_level"], 0)
+
+    def test_zero_counts_are_reported_not_filled(self):
+        # a series that delivers its levels without a single inner product
+        stats = {"spectra.degeneracy_series": {"calls": 1, "incl_s": 0.1, "self_s": 0.1}}
+        layer = run.layer_metrics(stats, Counter({"spectra.levels": 1001}))
+        self.assertEqual(layer["spectra.levels"], 1001)
+        self.assertEqual(layer["characters.inner_product_calls"], 0)
+        self.assertEqual(layer["spectra.ip_per_level"], 0)
+        self.assertEqual(layer["spectra.series_self_s"], 0.1)
+        self.assertEqual(layer["spectra.oracle_calls"], 0)
+        # times of code never run come from the layer probe
+        self.assertIsNone(layer["characters.inner_product_s"])
+        self.assertIsNone(layer["spectra.oracle_s"])
 
 
 class WrongExpectationFails(unittest.TestCase):

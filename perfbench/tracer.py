@@ -10,7 +10,9 @@ in memory and written out by `dump` when the process ends.
 `exactnum` arithmetic is far too fine-grained for spans (a per-level inner
 product makes hundreds of them); `CycloNum` addition and multiplication get
 count-only wrappers instead, and their cost is measured by the operand
-microbench in `worker.py`.
+microbench in `worker.py`.  The levels the spectra layer delivers are
+counted where they leave it (see LEVELS), so the count does not depend on
+how many internal calls make up a level.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ ENTRY_POINTS = {
     "cli": ("resolve_group",),
 }
 
+# Span name -> levels one call delivers, added to the "spectra.levels" count
+# for outermost calls only: degeneracy_series may be built on degeneracy, and
+# a level counts once however the library computes it.
+LEVELS = {"spectra.degeneracy_series": lambda series: len(series.entries),
+          "spectra.degeneracy": lambda d: 1}
+
 # CycloNum method -> counter name; __radd__/__rmul__ alias the same functions
 COUNTED = {"__add__": "exactnum.add", "__radd__": "exactnum.add",
            "__mul__": "exactnum.mul", "__rmul__": "exactnum.mul"}
@@ -55,6 +63,7 @@ class Tracer:
         self.op_id: int | None = None
         self._stack: list[int] = []
         self._next_id = 0
+        self._in_levels = 0
 
     def call(self, name: str, fn, *args, **kwargs):
         """Run fn as one span called `name`."""
@@ -71,10 +80,23 @@ class Tracer:
             self.spans.append((sid, parent, name, self.op_id, t0, t1))
 
     def wrap(self, name: str, fn):
+        levels = LEVELS.get(name)
+
         def traced(*args, **kwargs):
             return self.call(name, fn, *args, **kwargs)
-        traced.__name__ = fn.__name__
-        return traced
+
+        def traced_levels(*args, **kwargs):
+            self._in_levels += 1
+            try:
+                out = self.call(name, fn, *args, **kwargs)
+            finally:
+                self._in_levels -= 1
+            if not self._in_levels:
+                self.counts["spectra.levels"] += levels(out)
+            return out
+        wrapper = traced if levels is None else traced_levels
+        wrapper.__name__ = fn.__name__
+        return wrapper
 
     def counted(self, name: str, fn):
         counts = self.counts

@@ -36,6 +36,8 @@ VERIFY_ITEMS = ("tables", "isospectral", "dimension", "relations", "matrices",
                 "conjugations", "induced-matrices", "mckay", "sunada", "artin",
                 "oracle", "torsion")
 VERIFY_NMAX = 60
+MICRO_BATCHES = 61         # operand microbench: batches, median taken over them
+MICRO_PER_BATCH = 40       # operations timed together in one batch
 
 
 class Worker:
@@ -107,8 +109,7 @@ class Worker:
     def verify(self, req: dict) -> dict:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            rc = self.sf.cli.main(["verify", req["item"], "--nmax",
-                                   str(req.get("nmax", VERIFY_NMAX)),
+            rc = self.sf.cli.main(["verify", req["item"], "--nmax", str(VERIFY_NMAX),
                                    "--format", "json"])
         doc = json.loads(buf.getvalue())
         return {"rc": rc, "total": doc["total"],
@@ -149,8 +150,8 @@ def operand_pool(sf, groups) -> list:
     return sorted(pool, key=repr)
 
 
-def microbench(sf, groups, seed: int, batches: int = 61, per_batch: int = 40) -> dict:
-    """Median ns per CycloNum op over `batches` batches of seeded operands."""
+def microbench(sf, groups, seed: int) -> dict:
+    """Median ns per CycloNum op over MICRO_BATCHES batches of seeded operands."""
     rng = random.Random(seed)
     pool = operand_pool(sf, groups)
     units = [k for k in range(1, 120) if all(k % p for p in (2, 3, 5))]
@@ -163,13 +164,13 @@ def microbench(sf, groups, seed: int, batches: int = 61, per_batch: int = 40) ->
     out = {}
     for name, op in ops.items():
         per_op = []
-        for _ in range(batches):
+        for _ in range(MICRO_BATCHES):
             args = [(rng.choice(pool), rng.choice(pool), rng.choice(units))
-                    for _ in range(per_batch)]
+                    for _ in range(MICRO_PER_BATCH)]
             t0 = perf_counter_ns()
             for a, b, k in args:
                 op(a, b, k)
-            per_op.append((perf_counter_ns() - t0) / per_batch)
+            per_op.append((perf_counter_ns() - t0) / MICRO_PER_BATCH)
         per_op.sort()
         out[f"exactnum.{name}_ns"] = per_op[len(per_op) // 2]
     return out
