@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,7 +55,7 @@ def resolve_group(selector: str, cache: str | None = None) -> FiniteGroup:
 
 def emit(doc, fmt: str, text_renderer) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(text_renderer())
 
@@ -151,7 +152,15 @@ def _parse_twist(args, G: FiniteGroup):
                (0 if G.num_classes == len(G) else "1"))
 
 
+def _check_nmax(args) -> None:
+    if args.nmax < 0:
+        raise UsageError(f"--nmax must be >= 0, got {args.nmax}")
+
+
 def cmd_spectrum(args) -> int:
+    _check_nmax(args)
+    if args.param is not None and not math.isfinite(args.param):
+        raise UsageError(f"--param must be finite, got {args.param}")
     G = resolve_group(args.selector, args.cache)
     target, twist = _parse_twist(args, G)
     series = spectra.degeneracy_series(target, twist, args.nmax)
@@ -175,9 +184,13 @@ def cmd_spectrum(args) -> int:
         return 0
     doc = series.to_json()
     if weighted is not None:
+        bound = weighted.truncation_bound
         doc["weighted_sum"] = {"kind": args.weight, "param": args.param,
                                "value": weighted.value,
-                               "truncation_bound": weighted.truncation_bound}
+                               # null, not Infinity, when no finite bound exists
+                               "truncation_bound": (bound if bound is not None
+                                                    and math.isfinite(bound)
+                                                    else None)}
 
     def text():
         lines = [f"twist {series.twist.describe()}, levels 0..{series.n_max}"]
@@ -384,6 +397,7 @@ def _expected_matrix_statuses(name: str, sector: str) -> dict:
 
 
 def cmd_verify(args) -> int:
+    _check_nmax(args)
     items = _verify_items(args.item, args.nmax, args.cache)
     failures = [i for i in items if not i.passed]
     if args.format == "json":
@@ -391,7 +405,7 @@ def cmd_verify(args) -> int:
                "item": args.item, "n_max": args.nmax,
                "total": len(items), "failed": len(failures),
                "results": [i.as_dict() for i in items]}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         for i in items:
             mark = "PASS" if i.passed else "FAIL"

@@ -274,6 +274,8 @@ class FiniteGroup:
         g._conjugacy()
         g._char_table = None
         g._spin_chars = {}
+        g._oracle_irreps = {}      # irrep name -> numeric matrices (spectra)
+        g._oracle_spin = {}        # 2j -> numeric D^(j)(g) per element
         g._cyclic_subgroups = {}
         return g
 
@@ -599,6 +601,7 @@ def adopt_presentation_triple(G: FiniteGroup, l: int, m: int, n: int) -> None:
     G.presentation = (l, m, n)
     G._conjugacy()   # relabel classes with the new generators
     G._char_table = None
+    G._oracle_irreps = {}
 
 
 def verify_generator_conjugations(G: FiniteGroup) -> list[tuple[str, bool, str]]:

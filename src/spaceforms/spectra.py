@@ -5,12 +5,27 @@ and eigenvalue n(n+2).  For a one-sided homogeneous quotient by
 Gamma < SU(2), its restriction to Gamma is (n+1) copies of the spin-n/2
 character, so the twisted degeneracy is
 
-    d_n(rho) = (n+1) <chi_rho, Res chi_{n/2}>_Gamma,
+    d_n(rho) = (n+1) m_n,   m_n = <chi_rho, Res chi_{n/2}>_Gamma,
 
-an exact non-negative integer.  Every additive spectral quantity (heat
-trace, truncated zeta, log torsion) is a weighted sum over the
-degeneracy series, which is therefore the universal carrier checked by
-the verification harness.
+with m_n an exact non-negative integer.  Every additive spectral
+quantity (heat trace, truncated zeta, log torsion) is a weighted sum
+over the degeneracy series, which is therefore the universal carrier
+checked by the verification harness.
+
+A series needs only one exact period block.  Away from +-E the spin
+character chi_{n/2}(g) = sin((n+1)theta)/sin(theta) is periodic in n
+with period ord(g), which divides the exponent L = lcm of the element
+orders, while chi_{n/2}(E) = n+1 and chi_{n/2}(-E) = (-1)^n (n+1).
+Hence m_{n+L} = m_n + Delta_{n mod 2} with the integer step
+
+    Delta_p = (L/|Gamma|) (conj chi_rho(E) + (-1)^p conj chi_rho(-E)),
+
+the -E term absent when -E is not in Gamma (this is the Molien-series
+view of space-form spectra; for the trivial twist m_n are the
+coefficients of Klein's invariant Poincare series).  `degeneracy_series`
+computes m_0..m_{L-1} by exact inner products and every deeper level
+in integer arithmetic; `degeneracy` keeps the direct per-level inner
+product.
 
 An independent numeric oracle is provided for small levels: explicit
 spin-j matrices are built from the quaternions, the group average of
@@ -22,12 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product, spin_character, trivial_character)
-from .exactnum import CycloNum, root_of_unity
+from .exactnum import ZERO, CycloNum, root_of_unity
 from .groups import ContractViolation, FiniteGroup, SubgroupHandle
 
 
@@ -114,23 +130,36 @@ class TwistSpec:
         return f"{body} on {self.group.name}"
 
 
+def _genuine_twist(target, twist) -> TwistSpec:
+    tw = TwistSpec.coerce(target, twist)
+    if not tw.is_genuine():
+        raise TwistError(f"{tw.describe()} is not a genuine representation")
+    return tw
+
+
+def _checked_multiplicity(m: CycloNum, what: str) -> int:
+    try:
+        mult = m.as_integer()
+    except ValueError:
+        raise ContractViolation(f"non-integral {what}: {m}") from None
+    if mult < 0:
+        raise ContractViolation(f"negative {what}: {mult}")
+    return mult
+
+
+def _multiplicity(chi: ClassFunction, n: int) -> int:
+    """m_n = <chi, Res chi_{n/2}>, checked to be a non-negative integer."""
+    return _checked_multiplicity(
+        inner_product(chi, spin_character(chi.group, n)),
+        f"intertwining number at level {n}")
+
+
 def degeneracy(target, twist, n: int) -> int:
     """Exact twisted degeneracy at level n (eigenvalue n(n+2))."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    tw = TwistSpec.coerce(target, twist)
-    if not tw.is_genuine():
-        raise TwistError(f"{tw.describe()} is not a genuine representation")
-    G = tw.group
-    m = inner_product(tw.character(), spin_character(G, n))
-    try:
-        mult = m.as_integer()
-    except ValueError:
-        raise ContractViolation(
-            f"non-integral intertwining number {m} at level {n}") from None
-    if mult < 0:
-        raise ContractViolation(f"negative intertwining number at level {n}")
-    return (n + 1) * mult
+    tw = _genuine_twist(target, twist)
+    return (n + 1) * _multiplicity(tw.character(), n)
 
 
 @dataclass(frozen=True)
@@ -170,9 +199,37 @@ class DegeneracySeries:
 
 
 def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
-    tw = TwistSpec.coerce(target, twist)
-    entries = tuple(degeneracy(target, tw, n) for n in range(n_max + 1))
-    return DegeneracySeries(tw, entries)
+    """Degeneracies d_0..d_{n_max}, one exact period block plus a step.
+
+    With L the exponent of the group, m_n for n < L is an exact inner
+    product and m_n = m_{n mod L} + (n // L) Delta_{n mod 2} beyond it
+    (see the module docstring).  Both steps Delta_0, Delta_1 must be
+    non-negative integers, so every entry is a checked non-negative
+    integer and equals `degeneracy(target, twist, n)`."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    tw = _genuine_twist(target, twist)
+    G = tw.group
+    chi = tw.character()
+    period = math.lcm(*G.orders)
+    at_e = chi.value_on_element(G.identity_index).conjugate()
+    at_neg_e = (chi.value_on_element(G.neg_identity_index).conjugate()
+                if G.neg_identity_index is not None else ZERO)
+    step = [_checked_multiplicity((at_e + sign * at_neg_e)
+                                  * Fraction(period, len(G)),
+                                  f"period step Delta_{p}")
+            for p, sign in ((0, 1), (1, -1))]
+    block = []
+    entries = []
+    for n in range(n_max + 1):
+        if n < period:
+            block.append(_multiplicity(chi, n))
+            mult = block[n]
+        else:
+            laps, rest = divmod(n, period)
+            mult = block[rest] + laps * step[n % 2]
+        entries.append((n + 1) * mult)
+    return DegeneracySeries(tw, tuple(entries))
 
 
 # -- spectral weights ---------------------------------------------------
@@ -315,11 +372,29 @@ def spin_matrix(u: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
-def _irrep_matrices(G: FiniteGroup, name: str) -> list[np.ndarray]:
+def _frozen(mats) -> tuple:
+    for m in mats:
+        m.flags.writeable = False
+    return tuple(mats)
+
+
+def _spin_matrices(G: FiniteGroup, two_j: int) -> tuple:
+    """D^(j)(g) for every element of G, built once per (group, level)."""
+    cache = G._oracle_spin
+    if two_j not in cache:
+        cache[two_j] = _frozen([spin_matrix(su2_matrix(e), two_j)
+                                for e in G.elements])
+    return cache[two_j]
+
+
+def _irrep_matrices(G: FiniteGroup, name: str) -> tuple:
     """Numeric matrices of an irreducible, extracted from the smallest
-    spin representation containing it exactly once."""
+    spin representation containing it exactly once; built once per
+    (group, irrep)."""
     table = character_table(G)
     irrep = table[name]
+    if irrep.name in G._oracle_irreps:
+        return G._oracle_irreps[irrep.name]
     dim = irrep.label.dimension
     chosen = None
     for two_j in range(0, 4 * len(G)):
@@ -329,7 +404,7 @@ def _irrep_matrices(G: FiniteGroup, name: str) -> list[np.ndarray]:
             break
     if chosen is None:
         raise ContractViolation(f"no multiplicity-one spin level for {name}")
-    big = [spin_matrix(su2_matrix(e), chosen) for e in G.elements]
+    big = _spin_matrices(G, chosen)
     chivals = [irrep.char.value_on_element(i).to_complex()
                for i in range(len(G))]
     proj = sum(np.conj(chivals[i]) * big[i] for i in range(len(G)))
@@ -343,7 +418,8 @@ def _irrep_matrices(G: FiniteGroup, name: str) -> list[np.ndarray]:
     for i in range(len(G)):
         if abs(np.trace(mats[i]) - chivals[i]) > 1e-8:
             raise ContractViolation("extracted irrep has wrong character")
-    return mats
+    G._oracle_irreps[irrep.name] = _frozen(mats)
+    return G._oracle_irreps[irrep.name]
 
 
 ORACLE_MAX_LEVEL = 8
@@ -369,8 +445,8 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
             raise TwistError("oracle accepts irreducible twists only")
         rho = _irrep_matrices(G, tw.combo[0][0])
     acc = None
-    for i, e in enumerate(G.elements):
-        term = np.kron(np.conj(rho[i]), spin_matrix(su2_matrix(e), n))
+    for rho_g, spin_g in zip(rho, _spin_matrices(G, n)):
+        term = np.kron(np.conj(rho_g), spin_g)
         acc = term if acc is None else acc + term
     proj = acc / len(G)
     tr = np.trace(proj)

@@ -148,3 +148,39 @@ def test_verify_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["failed"] == 0 and doc["total"] == 3
+
+
+def test_negative_nmax_is_usage_error(capsys):
+    # used to check zero levels and report 3/3 PASS, or print "levels 0..-1"
+    code, out, err = run(capsys, "verify", "dimension", "--nmax", "-3")
+    assert code == 2 and out == "" and "--nmax" in err
+    code, out, err = run(capsys, "spectrum", "2T", "--irrep", "1",
+                         "--nmax", "-2")
+    assert code == 2 and out == "" and "--nmax" in err
+
+
+def test_non_finite_param_is_usage_error(capsys):
+    for weight, param in (("heat", "nan"), ("heat", "inf"), ("zeta", "inf"),
+                          ("counting", "-inf")):
+        code, out, err = run(capsys, "spectrum", "2T", "--nmax", "4",
+                             "--weight", weight, f"--param={param}",
+                             "--format", "json")
+        assert code == 2 and out == "" and "--param" in err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_spectrum_json_is_standard_with_infinite_tail_bound(capsys):
+    # a tiny heat parameter leaves no finite geometric tail bound
+    code, out, _ = run(capsys, "spectrum", "2T", "--nmax", "4", "--weight",
+                       "heat", "--param", "1e-9", "--format", "json")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["weighted_sum"]["truncation_bound"] is None
+    code, out, _ = run(capsys, "spectrum", "2T", "--nmax", "4", "--weight",
+                       "heat", "--param", "1e-9")
+    assert code == 0 and "tail bound inf" in out

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from spaceforms import groups
+from spaceforms import groups, spectra
 from spaceforms.characters import character_table
+from spaceforms.groups import ContractViolation
 from spaceforms.spectra import (DegeneracySeries, SpectralWeight, TwistError,
                                 TwistSpec, degeneracy, degeneracy_series,
                                 lens_torsion, oracle_projector_degeneracy,
@@ -16,11 +18,14 @@ def lens_count(q, r, n):
 
 
 def test_lens_series_against_counting_oracle():
-    for q in (1, 2, 3, 4, 5, 6, 8, 10, 12):
+    for q in (1, 2, 3, 4, 5, 6, 8, 10, 12, 20):
         Z = groups.cyclic_group(q)
         for r in range(q):
             for n in range(21):
                 assert degeneracy(Z, r, n) == lens_count(q, r, n)
+            n_max = 5 * q + 3     # five periods deep
+            assert degeneracy_series(Z, r, n_max).entries == tuple(
+                lens_count(q, r, n) for n in range(n_max + 1))
 
 
 def test_round_sphere_and_z2():
@@ -183,3 +188,73 @@ def test_degeneracy_series_equality_semantics(g2t):
     b = degeneracy_series(g2t, {"1": 1}, 10)
     assert a == b
     assert isinstance(a, DegeneracySeries)
+
+
+# -- the closed-form series ----------------------------------------------
+
+
+def test_closed_form_series_matches_direct_path(all_groups):
+    # two full periods plus one level past them, against the per-level
+    # inner product, for every irrep, a mixed spinor/non-spinor
+    # combination and every lens twist on each generator's subgroup
+    for G in all_groups:
+        table = character_table(G)
+        spinor = next(ir.name for ir in table if ir.label.spinor)
+        plain = next(ir.name for ir in table
+                     if not ir.label.spinor and ir.label.dimension > 1)
+        cases = [(G, ir.name) for ir in table] + [(G, {spinor: 1, plain: 2})]
+        for gen in ("R", "S", "T", "RST"):
+            H = G.cyclic_subgroup(gen)
+            cases += [(H, r) for r in range(H.order)]
+        for target, twist in cases:
+            period = math.lcm(*TwistSpec.coerce(target, twist).group.orders)
+            n_max = 2 * period + 1
+            got = degeneracy_series(target, twist, n_max).entries
+            want = tuple(degeneracy(target, twist, n) for n in range(n_max + 1))
+            assert got == want, (G.name, target, twist)
+
+
+def poincare_coefficients(a, b, c, n_max):
+    """Coefficients of (1 + t^a) / ((1 - t^b)(1 - t^c)) by integer recurrence."""
+    coef = [0] * (n_max + 1)
+    coef[0] = 1
+    if a <= n_max:
+        coef[a] += 1
+    for d in (b, c):
+        for n in range(d, n_max + 1):
+            coef[n] += coef[n - d]
+    return coef
+
+
+def test_trivial_series_is_kleins_invariant_poincare_series(all_groups):
+    # independent of the character path at every level: m_n for the
+    # trivial twist counts the degree-n invariants of Gamma on C^2
+    n_max = 3000
+    for G, (a, b, c) in zip(all_groups, ((12, 6, 8), (18, 8, 12), (30, 12, 20))):
+        want = poincare_coefficients(a, b, c, n_max)
+        got = degeneracy_series(G, "1", n_max).entries
+        assert got == tuple((n + 1) * m for n, m in enumerate(want)), G.name
+
+
+def test_series_rejects_negative_n_max(g2t):
+    with pytest.raises(ValueError):
+        degeneracy_series(g2t, "1", -1)
+
+
+def test_series_checks_the_period_step(g2t, monkeypatch):
+    # half the trivial character is no character: its step
+    # Delta_0 = (12/24)(1/2 + 1/2) = 1/2 is not an integer
+    half = character_table(g2t)["1"].char * Fraction(1, 2)
+    monkeypatch.setattr(TwistSpec, "character", lambda self: half)
+    with pytest.raises(ContractViolation, match="period step"):
+        degeneracy_series(g2t, "1", 3)
+
+
+def test_oracle_matrices_cached_per_group(g2t):
+    first = spectra._irrep_matrices(g2t, "3")
+    again = spectra._irrep_matrices(g2t, "3")
+    assert again is first
+    assert spectra._spin_matrices(g2t, 4) is spectra._spin_matrices(g2t, 4)
+    with pytest.raises(ValueError):   # cached arrays cannot be altered
+        first[1][0, 0] = 0
+    assert oracle_projector_degeneracy(g2t, "3", 4) == degeneracy(g2t, "3", 4)
