@@ -16,6 +16,7 @@ results under the choice can be tested.
 from __future__ import annotations
 
 import json
+import os
 
 from .exactnum import CONDUCTOR, CycloNum, ONE, ZERO, root_of_unity
 
@@ -272,12 +273,18 @@ class FiniteGroup:
         g.inv = tuple(g.index[e.conjugate()] for e in g.elements)
         g.orders = g._element_orders()
         g._conjugacy()
-        g._char_table = None
-        g._spin_chars = {}
-        g._oracle_irreps = {}      # irrep name -> numeric matrices (spectra)
-        g._oracle_spin = {}        # 2j -> numeric D^(j)(g) per element
-        g._cyclic_subgroups = {}
+        g._reset_derived()
         return g
+
+    def _reset_derived(self):
+        """Drop every cache derived from the classes or the generators."""
+        self._char_table = None
+        self._spin_chars = {}          # 2j -> spin character (characters)
+        self._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
+        self._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
+        self._cyclic_subgroups = {}
+        self._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
+        self._induced_twists = {}      # (gen, r mod q) -> decomposition
 
     @staticmethod
     def from_generators(name, gens: dict[str, Quat], presentation=None):
@@ -600,8 +607,7 @@ def adopt_presentation_triple(G: FiniteGroup, l: int, m: int, n: int) -> None:
                          "RST": G.mult[G.mult[r][s]][t]})
     G.presentation = (l, m, n)
     G._conjugacy()   # relabel classes with the new generators
-    G._char_table = None
-    G._oracle_irreps = {}
+    G._reset_derived()
 
 
 def verify_generator_conjugations(G: FiniteGroup) -> list[tuple[str, bool, str]]:
@@ -676,21 +682,42 @@ def group_from_json(doc: dict) -> FiniteGroup:
     if doc.get("schema") != SCHEMA or doc.get("kind") != "group":
         raise ValueError("not a group document")
     elements = [Quat(*(_cyclo_from_json(c) for c in e)) for e in doc["elements"]]
+    mult = doc["mult_table"]
+    _check_cached_table(mult, len(elements))
     pres = doc.get("presentation")
-    G = FiniteGroup._make(doc["name"], elements, doc["mult_table"],
-                          doc["generators"],
+    G = FiniteGroup._make(doc["name"], elements, mult, doc["generators"],
                           presentation=tuple(pres) if pres else None)
-    # cheap integrity checks on the cached table
-    k = len(elements)
-    for probe in range(0, k, max(1, k // 8)):
-        if sorted(G.mult[probe]) != list(range(k)):
-            raise ValueError("cached multiplication table row is not a permutation")
+    if any(G.mult[g][G.inv[g]] != 0 for g in range(len(G))):
+        raise ValueError("cached multiplication table disagrees with the "
+                         "inverses of the stored elements")
     return G
 
 
+def _check_cached_table(mult, k: int) -> None:
+    """Element 0 is the identity and every row and column is a
+    permutation of 0..k-1 (a Latin square)."""
+    perm = list(range(k))
+    if (len(mult) != k or list(mult[0]) != perm
+            or [row[0] for row in mult] != perm):
+        raise ValueError(
+            "cached multiplication table: element 0 is not the identity")
+    for what, lines in (("row", mult), ("column", zip(*mult))):
+        if any(sorted(line) != perm for line in lines):
+            raise ValueError(
+                f"cached multiplication table {what} is not a permutation")
+
+
 def save_group(G: FiniteGroup, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(group_to_json(G), fh)
+    """Write the cache file atomically: a failed dump leaves any earlier
+    file at `path` untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(group_to_json(G), fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_group(path: str) -> FiniteGroup:

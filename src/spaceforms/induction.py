@@ -94,10 +94,15 @@ class InducedDecomposition:
 
 def induce_twist(G: FiniteGroup, gen: str, r: int) -> InducedDecomposition:
     """Decompose Ind(omega^r) from the cyclic subgroup <gen> of G, via
-    reciprocity cross-checked against the induced-character formula."""
+    reciprocity cross-checked against the induced-character formula.
+
+    Kept on G per (gen, r mod q): only the first call for a key runs
+    the two routes and the dimension bookkeeping."""
     H = G.cyclic_subgroup(gen)
     q = H.order
     r %= q
+    if (gen, r) in G._induced_twists:
+        return G._induced_twists[gen, r]
     table = character_table(G)
     chi = cyclic_character(H, r)
     induced = induce_character(H, chi)
@@ -115,6 +120,7 @@ def induce_twist(G: FiniteGroup, gen: str, r: int) -> InducedDecomposition:
         raise ContractViolation(
             f"dimension bookkeeping fails for {r}^({gen}): "
             f"{dec.induced_dimension} * {q} != {len(G)}")
+    G._induced_twists[gen, r] = dec
     return dec
 
 

@@ -22,10 +22,15 @@ Hence m_{n+L} = m_n + Delta_{n mod 2} with the integer step
 
 the -E term absent when -E is not in Gamma (this is the Molien-series
 view of space-form spectra; for the trivial twist m_n are the
-coefficients of Klein's invariant Poincare series).  `degeneracy_series`
-computes m_0..m_{L-1} by exact inner products and every deeper level
-in integer arithmetic; `degeneracy` keeps the direct per-level inner
-product.
+coefficients of Klein's invariant Poincare series).
+
+The block m_0..m_{L-1} is linear in the twist, so it is an integer
+combination of the blocks of the irreducibles (the table's irreps, or
+the characters omega^r of a cyclic group).  Each irreducible's column
+of exact inner products is kept on its group and grown only as deep as
+a series asks (never past L), so every series after the first over the
+same irreducibles is integer arithmetic throughout.  `degeneracy`
+keeps the direct per-level inner product.
 
 An independent numeric oracle is provided for small levels: explicit
 spin-j matrices are built from the quaternions, the group average of
@@ -154,6 +159,20 @@ def _multiplicity(chi: ClassFunction, n: int) -> int:
         f"intertwining number at level {n}")
 
 
+def _column(G: FiniteGroup, irreducible, depth: int) -> tuple:
+    """m_0..m_{depth-1} of one irreducible of G (an irrep name, or the
+    index r of omega^r on a cyclic group), grown lazily and kept on G.
+    A grown column replaces the old one whole, so a concurrent caller
+    sees a shorter or a longer column, never a partial one."""
+    col = G._multiplicity_columns.get(irreducible, ())
+    if len(col) < depth:
+        chi = (cyclic_character(G, irreducible) if isinstance(irreducible, int)
+               else character_table(G)[irreducible].char)
+        col += tuple(_multiplicity(chi, n) for n in range(len(col), depth))
+        G._multiplicity_columns[irreducible] = col
+    return col
+
+
 def degeneracy(target, twist, n: int) -> int:
     """Exact twisted degeneracy at level n (eigenvalue n(n+2))."""
     if n < 0:
@@ -199,11 +218,13 @@ class DegeneracySeries:
 
 
 def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
-    """Degeneracies d_0..d_{n_max}, one exact period block plus a step.
+    """Degeneracies d_0..d_{n_max}, one period block plus a step.
 
-    With L the exponent of the group, m_n for n < L is an exact inner
-    product and m_n = m_{n mod L} + (n // L) Delta_{n mod 2} beyond it
-    (see the module docstring).  Both steps Delta_0, Delta_1 must be
+    With L the exponent of the group, m_n for n < L is the twist's
+    integer combination of the irreducibles' multiplicity columns and
+    m_n = m_{n mod L} + (n // L) Delta_{n mod 2} beyond it (see the
+    module docstring).  Every column entry is a checked exact inner
+    product, every block entry and both steps Delta_0, Delta_1 must be
     non-negative integers, so every entry is a checked non-negative
     integer and equals `degeneracy(target, twist, n)`."""
     if n_max < 0:
@@ -219,16 +240,22 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
                                   * Fraction(period, len(G)),
                                   f"period step Delta_{p}")
             for p, sign in ((0, 1), (1, -1))]
-    block = []
+    if tw.cyclic_twist is not None:
+        terms = [(tw.cyclic_twist, 1)]
+    else:
+        table = character_table(G)
+        terms = [(table[name].name, c) for name, c in tw.combo if c]
+    depth = min(n_max + 1, period)
+    columns = [(_column(G, irreducible, depth), c) for irreducible, c in terms]
+    block = [sum(c * col[n] for col, c in columns) for n in range(depth)]
+    if any(m < 0 or m % 1 for m in block):
+        raise ContractViolation(
+            f"period block is not non-negative integers: {block}")
+    block = [int(m) for m in block]
     entries = []
     for n in range(n_max + 1):
-        if n < period:
-            block.append(_multiplicity(chi, n))
-            mult = block[n]
-        else:
-            laps, rest = divmod(n, period)
-            mult = block[rest] + laps * step[n % 2]
-        entries.append((n + 1) * mult)
+        laps, rest = divmod(n, period)
+        entries.append((n + 1) * (block[rest] + laps * step[n % 2]))
     return DegeneracySeries(tw, tuple(entries))
 
 
@@ -372,14 +399,15 @@ def spin_matrix(u: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
-def _frozen(mats) -> tuple:
-    for m in mats:
-        m.flags.writeable = False
-    return tuple(mats)
+def _frozen(mats) -> np.ndarray:
+    stacked = np.stack(mats)
+    stacked.flags.writeable = False
+    return stacked
 
 
-def _spin_matrices(G: FiniteGroup, two_j: int) -> tuple:
-    """D^(j)(g) for every element of G, built once per (group, level)."""
+def _spin_matrices(G: FiniteGroup, two_j: int) -> np.ndarray:
+    """D^(j)(g) for every element of G, stacked along the first axis and
+    built once per (group, level)."""
     cache = G._oracle_spin
     if two_j not in cache:
         cache[two_j] = _frozen([spin_matrix(su2_matrix(e), two_j)
@@ -387,10 +415,10 @@ def _spin_matrices(G: FiniteGroup, two_j: int) -> tuple:
     return cache[two_j]
 
 
-def _irrep_matrices(G: FiniteGroup, name: str) -> tuple:
-    """Numeric matrices of an irreducible, extracted from the smallest
-    spin representation containing it exactly once; built once per
-    (group, irrep)."""
+def _irrep_matrices(G: FiniteGroup, name: str) -> np.ndarray:
+    """Numeric matrices of an irreducible, stacked along the first axis,
+    extracted from the smallest spin representation containing it
+    exactly once; built once per (group, irrep)."""
     table = character_table(G)
     irrep = table[name]
     if irrep.name in G._oracle_irreps:
@@ -398,8 +426,7 @@ def _irrep_matrices(G: FiniteGroup, name: str) -> tuple:
     dim = irrep.label.dimension
     chosen = None
     for two_j in range(0, 4 * len(G)):
-        m = inner_product(irrep.char, spin_character(G, two_j))
-        if m.as_integer() == 1:
+        if _column(G, irrep.name, two_j + 1)[two_j] == 1:
             chosen = two_j
             break
     if chosen is None:
@@ -438,16 +465,17 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
     G = tw.group
     if tw.cyclic_twist is not None:
         q = len(G)
-        rho = [np.array([[np.exp(2j * np.pi * tw.cyclic_twist * k / q)]])
-               for k in range(q)]   # element order = power order for cyclic
+        # element order = power order for cyclic
+        rho = np.exp(2j * np.pi * tw.cyclic_twist * np.arange(q) / q)
+        rho = rho.reshape(q, 1, 1)
     else:
         if len(tw.combo) != 1 or tw.combo[0][1] != 1:
             raise TwistError("oracle accepts irreducible twists only")
         rho = _irrep_matrices(G, tw.combo[0][0])
-    acc = None
-    for rho_g, spin_g in zip(rho, _spin_matrices(G, n)):
-        term = np.kron(np.conj(rho_g), spin_g)
-        acc = term if acc is None else acc + term
+    spin = _spin_matrices(G, n)
+    dim = rho.shape[1] * spin.shape[1]
+    # sum over g of kron(conj rho(g), D(g)), as one contraction
+    acc = np.einsum("gab,gcd->acbd", np.conj(rho), spin).reshape(dim, dim)
     proj = acc / len(G)
     tr = np.trace(proj)
     if abs(tr.imag) > 1e-6 or abs(tr.real - round(tr.real)) > 1e-6:

@@ -326,30 +326,22 @@ def verify_central_relations(G: FiniteGroup, n_max: int = 60) -> list[CheckResul
     through low-twist lens quantities over all four cyclic subgroups,
     twist indices reduced mod the subgroup order."""
     out = []
-    lens_cache: dict[tuple[str, int], tuple] = {}
-
-    def lens(gen, r):
-        q = G.cyclic_subgroup(gen).order
-        key = (gen, r % q)
-        if key not in lens_cache:
-            lens_cache[key] = lens_series(G, gen, key[1], n_max).entries
-        return lens_cache[key]
-
-    series_cache: dict[str, tuple] = {}
-
-    def irrep_series(name):
-        if name not in series_cache:
-            series_cache[name] = degeneracy_series(G, name, n_max).entries
-        return series_cache[name]
-
-    for key, lhs_names, base_names, twist, factor, note in _central_relation_rows(G):
+    rows = _central_relation_rows(G)
+    # each distinct series once: rows share irreps and lens twists
+    names = {nm for _, lhs, base, *_ in rows for nm in lhs + base}
+    irrep = {nm: degeneracy_series(G, nm, n_max).entries for nm in names}
+    orders = {gen: G.cyclic_subgroup(gen).order for gen in GENERATORS}
+    lens = {(gen, r): lens_series(G, gen, r, n_max).entries
+            for gen, q in orders.items() for r in {row[3] % q for row in rows}}
+    for key, lhs_names, base_names, twist, factor, note in rows:
         ok = True
         detail = note
         for n in range(n_max + 1):
-            lhs = sum(irrep_series(nm)[n] for nm in lhs_names)
-            rhs = sum(lens(gen, twist)[n] for gen in ("R", "S", "T"))
-            rhs -= lens("RST", twist)[n]
-            rhs += sum(irrep_series(nm)[n] for nm in base_names)
+            lhs = sum(irrep[nm][n] for nm in lhs_names)
+            rhs = sum(lens[gen, twist % orders[gen]][n]
+                      for gen in ("R", "S", "T"))
+            rhs -= lens["RST", twist % orders["RST"]][n]
+            rhs += sum(irrep[nm][n] for nm in base_names)
             rhs = factor * rhs
             if lhs != rhs:
                 ok = False

@@ -226,3 +226,66 @@ def test_alternate_triple_gives_same_structure():
         ra, sa, ta = generator_triple(n, 0)
         rb, sb, tb = generator_triple(n, 1)
         assert (ra, sa, ta) != (rb, sb, tb)
+
+
+def test_adopt_presentation_triple_resets_class_indexed_caches(g2o):
+    # adopting generators reorders the classes, so every cache indexed by
+    # class (here a spin character built before the adoption) must go
+    from spaceforms import spectra
+    from spaceforms.characters import spin_character
+    K = find_index2_subgroup(g2o).group
+    spin_character(K, 3)
+    groups.adopt_presentation_triple(K, 2, 3, 3)
+    assert [spectra.degeneracy(K, "2s", n) for n in range(4)] == [0, 2, 0, 0]
+    assert spin_character(K, 1).values == tuple(
+        K.elements[rep].trace() for rep in K.class_reps)
+
+
+def test_cached_table_with_swapped_entries_is_rejected(g2t, tmp_path):
+    # two entries of row 1 swapped: every row is still a permutation,
+    # but two columns are not
+    doc = group_to_json(g2t)
+    row = doc["mult_table"][1]
+    row[2], row[3] = row[3], row[2]
+    path = tmp_path / "2T.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="column"):
+        groups.load_group(str(path))
+
+
+def test_cached_table_validation_checks_identity_and_inverses(g2t):
+    # relabelling two elements in the table only keeps it a group table
+    # (a valid Latin square), but it no longer matches the quaternions,
+    # whose conjugates give the inverses
+    c = next(i for i in range(2, len(g2t)) if i != g2t.inv[1])
+    perm = list(range(len(g2t)))
+    perm[1], perm[c] = c, 1
+    n = len(g2t)
+    doc = group_to_json(g2t)
+    doc["mult_table"] = [[perm[g2t.mult[perm[a]][perm[b]]] for b in range(n)]
+                         for a in range(n)]
+    with pytest.raises(ValueError, match="inverse"):
+        group_from_json(doc)
+    doc = group_to_json(g2t)
+    doc["mult_table"][0] = list(reversed(doc["mult_table"][0]))
+    with pytest.raises(ValueError, match="identity"):
+        group_from_json(doc)
+
+
+def test_save_group_keeps_the_old_file_when_the_dump_fails(g2t, g2o,
+                                                           tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    groups.save_group(g2t, str(path))
+    before = path.read_bytes()
+
+    def broken_dump(doc, fh):
+        fh.write(json.dumps(doc)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(groups.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        groups.save_group(g2o, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+    monkeypatch.undo()
+    assert groups.load_group(str(path)).mult == g2t.mult

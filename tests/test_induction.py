@@ -1,11 +1,13 @@
 import pytest
 
-from spaceforms import groups
+from spaceforms import groups, induction
 from spaceforms._reference_tables import REFERENCE_INDUCTIONS
 from spaceforms.characters import (character_table, inner_product_int,
                                    regular_character, trivial_character)
 from spaceforms.exactnum import ONE
-from spaceforms.groups import find_index2_subgroup, adopt_presentation_triple
+from spaceforms.groups import (ContractViolation, adopt_presentation_triple,
+                               find_index2_subgroup, group_from_json,
+                               group_to_json)
 from spaceforms.induction import (MonomialRep, column_sum_is_regular,
                                   frobenius_multiplicity, induce_character,
                                   induce_in_stages, induce_twist,
@@ -214,3 +216,26 @@ def test_induced_span_is_full_rank(all_groups):
 def test_dropping_t_loses_rank_on_2i(g2i):
     from spaceforms.theorems import _induced_span_rank
     assert _induced_span_rank(g2i, ("R", "S")) < g2i.num_classes
+
+
+def test_induce_twist_checks_both_routes_once_per_key(g2t, monkeypatch):
+    # a fresh copy has no decompositions yet: the first call for a key
+    # still runs and compares both routes, and a failure is not kept
+    G = group_from_json(group_to_json(g2t))
+    trivial = trivial_character(G)
+    real_restrict = induction.restrict
+    monkeypatch.setattr(induction, "restrict",
+                        lambda chi, H: real_restrict(trivial, H))
+    with pytest.raises(ContractViolation, match="disagree"):
+        induce_twist(G, "T", 1)
+    monkeypatch.undo()
+    real_induce = induction.induce_character
+    monkeypatch.setattr(induction, "induce_character",
+                        lambda H, chi: real_induce(H, 0))
+    with pytest.raises(ContractViolation, match="disagree"):
+        induce_twist(G, "T", 1)
+    monkeypatch.undo()
+    dec = induce_twist(G, "T", 1)
+    assert dec.as_dict() == induce_twist(g2t, "T", 1).as_dict()
+    assert induce_twist(G, "T", 1 + G.cyclic_subgroup("T").order) is dec
+    assert G._induced_twists == {("T", 1): dec}

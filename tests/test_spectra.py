@@ -193,11 +193,18 @@ def test_degeneracy_series_equality_semantics(g2t):
 # -- the closed-form series ----------------------------------------------
 
 
+def fresh_copy(G):
+    """The same group with every derived cache empty."""
+    return groups.group_from_json(groups.group_to_json(G))
+
+
 def test_closed_form_series_matches_direct_path(all_groups):
-    # two full periods plus one level past them, against the per-level
-    # inner product, for every irrep, a mixed spinor/non-spinor
-    # combination and every lens twist on each generator's subgroup
-    for G in all_groups:
+    # a shallow series (half a period), then two full periods plus one
+    # level past them, against the per-level inner product, for every
+    # irrep, a mixed spinor/non-spinor combination and every lens twist
+    # on each generator's subgroup; the multiplicity columns of a fresh
+    # group grow only as deep as asked and never past the period
+    for G in map(fresh_copy, all_groups):
         table = character_table(G)
         spinor = next(ir.name for ir in table if ir.label.spinor)
         plain = next(ir.name for ir in table
@@ -207,11 +214,51 @@ def test_closed_form_series_matches_direct_path(all_groups):
             H = G.cyclic_subgroup(gen)
             cases += [(H, r) for r in range(H.order)]
         for target, twist in cases:
-            period = math.lcm(*TwistSpec.coerce(target, twist).group.orders)
-            n_max = 2 * period + 1
-            got = degeneracy_series(target, twist, n_max).entries
-            want = tuple(degeneracy(target, twist, n) for n in range(n_max + 1))
-            assert got == want, (G.name, target, twist)
+            host = TwistSpec.coerce(target, twist).group
+            period = math.lcm(*host.orders)
+            for n_max in (period // 2, 2 * period + 1):
+                got = degeneracy_series(target, twist, n_max).entries
+                want = tuple(degeneracy(target, twist, n)
+                             for n in range(n_max + 1))
+                assert got == want, (G.name, target, twist, n_max)
+                if not isinstance(twist, dict):
+                    col = host._multiplicity_columns[twist]
+                    assert len(col) == min(n_max + 1, period)
+        hosts = [G] + [G.cyclic_subgroup(gen).group
+                       for gen in ("R", "S", "T", "RST")]
+        for host in hosts:
+            period = math.lcm(*host.orders)
+            assert {len(c) for c in host._multiplicity_columns.values()} == {period}
+        assert set(G._multiplicity_columns) == {ir.name for ir in table}
+
+
+def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
+    G = fresh_copy(g2i)
+    calls = []
+    real = spectra.inner_product
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(spectra, "inner_product", counted)
+    first = degeneracy_series(G, {"2s": 1, "4s": 1}, 60)
+    assert len(calls) == 2 * 60          # one column per irrep, 60 = period
+    calls.clear()
+    again = [degeneracy_series(G, "2s", 60),
+             degeneracy_series(G, {"4s": 3, "2s": 1}, 200),
+             degeneracy_series(G, {"2S": 1, "4s": 1}, 7)]
+    assert calls == []
+    shallow = degeneracy_series(G, "6s", 20)     # a new irrep, 21 levels
+    assert len(calls) == 21
+    monkeypatch.undo()
+    assert first.entries == tuple(a + b for a, b in zip(
+        degeneracy_series(g2i, "2s", 60).entries,
+        degeneracy_series(g2i, "4s", 60).entries))
+    assert again[1].entries == tuple(
+        degeneracy(g2i, {"4s": 3, "2s": 1}, n) for n in range(201))
+    assert again[2].entries == first.entries[:8]
+    assert shallow.entries == tuple(degeneracy(g2i, "6s", n) for n in range(21))
 
 
 def poincare_coefficients(a, b, c, n_max):
@@ -248,6 +295,13 @@ def test_series_checks_the_period_step(g2t, monkeypatch):
     monkeypatch.setattr(TwistSpec, "character", lambda self: half)
     with pytest.raises(ContractViolation, match="period step"):
         degeneracy_series(g2t, "1", 3)
+
+
+def test_series_checks_the_period_block(g2i):
+    # half of irrep 4 has integral steps Delta_0 = 2, Delta_1 = 0, but
+    # its block is half an irrep column, so some entry is 1/2
+    with pytest.raises(ContractViolation, match="period block"):
+        degeneracy_series(g2i, {"4": Fraction(1, 2)}, 60)
 
 
 def test_oracle_matrices_cached_per_group(g2t):
