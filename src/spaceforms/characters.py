@@ -1,13 +1,15 @@
 """Class functions and exact character tables.
 
 Character tables of the binary polyhedral groups are derived by the
-Burnside/Dixon method: the class-sum structure constant matrices are
-simultaneously diagonalized numerically (a random real combination in
-double precision), each entry is then recognized exactly as a short sum
-of roots of unity of order dividing the element order, and finally all
-orthogonality relations are verified in exact arithmetic.  The numeric
-step is only a search heuristic; nothing is trusted until the exact
-verification passes.
+modular Dixon-Schneider method, with no floating point, seed or
+tolerance: the class-sum structure constant matrices are split into
+common eigenspaces over GF(p), p = 241 (the smallest prime with
+120 | p - 1), class by class; each one-dimensional eigenspace is a
+central character, which gives chi(1) and the residues of chi; and the
+eigenvalue multiplicities of rho(g), integers below p recovered by a
+discrete Fourier transform over the power map, give each value exactly
+as a sum of roots of unity.  Nothing is trusted until the orthogonality
+relations are verified in exact arithmetic.
 
 Prime-mark labels (3 vs 3', 2s' vs 2s'', ...) are not intrinsic; they
 are fixed by requiring the reference induction tables to hold verbatim,
@@ -17,14 +19,14 @@ with a lexicographic tie-break among consistent assignments.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._reference_tables import REFERENCE_INDUCTIONS
-from .exactnum import CycloNum, ONE, ZERO, format_value, root_of_unity
-from .groups import ContractViolation, FiniteGroup, SubgroupHandle
+from .exactnum import CONDUCTOR, CycloNum, ONE, ZERO, format_value, root_of_unity
+from .groups import (GROUP_NAMES, ContractViolation, FiniteGroup,
+                     SubgroupHandle)
 
 
 class TableDerivationError(Exception):
@@ -304,101 +306,185 @@ class CharacterTable:
                          for row in rows)
 
 
-# -- Dixon/Burnside derivation -----------------------------------------
+# -- Dixon/Schneider derivation over GF(p) -----------------------------
 
 
-def _structure_matrices(G: FiniteGroup) -> np.ndarray:
-    """a[i, j, l] with C_i C_j = sum_l a_{ijl} C_l (class sums)."""
+PRIME = 241   # the smallest prime p with CONDUCTOR | p - 1
+
+
+def _structure_matrices(G: FiniteGroup) -> list[list[list[int]]]:
+    """a[i][j][l] with C_i C_j = sum_l a_{ijl} C_l (class sums)."""
     k = G.num_classes
-    a = np.zeros((k, k, k), dtype=np.int64)
-    t = G.mult
-    for i, Ci in enumerate(G.classes):
-        for j, Cj in enumerate(G.classes):
+    t, class_of, sizes = G.mult, G.class_of, G.class_sizes
+    a = []
+    for Ci in G.classes:
+        a_i = []
+        for Cj in G.classes:
             counts = [0] * k
             for x in Ci:
                 row = t[x]
                 for y in Cj:
-                    counts[G.class_of[row[y]]] += 1
-            for l in range(k):
-                cl = counts[l]
-                if cl:
-                    size = G.class_sizes[l]
-                    if cl % size:
-                        raise ContractViolation("class algebra constants not integral")
-                    a[i, j, l] = cl // size
+                    counts[class_of[row[y]]] += 1
+            if any(c % size for c, size in zip(counts, sizes)):
+                raise ContractViolation("class algebra constants not integral")
+            a_i.append([c // size for c, size in zip(counts, sizes)])
+        a.append(a_i)
     return a
 
 
-_SUM_CACHE: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p): (nonzero rows, pivot columns)."""
+    rows = [[v % p for v in r] for r in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [(v - f * w) % p for v, w in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
 
 
-def _root_sums(order: int, dim: int):
-    key = (order, dim)
-    if key not in _SUM_CACHE:
-        roots = np.exp(2j * np.pi * np.arange(order) / order)
-        combos = list(itertools.combinations_with_replacement(range(order), dim))
-        sums = np.array([roots[list(c)].sum() for c in combos])
-        _SUM_CACHE[key] = (sums, combos)
-    return _SUM_CACHE[key]
+def _nullspace(M: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of {y : M y = 0} over GF(p)."""
+    rows, pivots = _rref(M, p)
+    n = len(M[0])
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        y = [0] * n
+        y[f] = 1
+        for row, c in zip(rows, pivots):
+            y[c] = -row[f] % p
+        basis.append(y)
+    return basis
 
 
-def _recognize(value: complex, order: int, dim: int):
-    """Find a multiset of `dim` order-th roots of unity summing to
-    `value` within 1e-6, and return the exact sum; None if no multiset
-    matches."""
-    sums, combos = _root_sums(order, dim)
-    hits = np.flatnonzero(np.abs(sums - value) < 1e-6)
-    if len(hits) == 0:
-        return None
-    out = ZERO
-    for e in combos[hits[0]]:
-        out = out + root_of_unity(order, e)
-    return out
+def _eigenvalues(R: list[list[int]], p: int) -> list[int]:
+    """Roots in GF(p) of det(x I - R), whose coefficients come from the
+    Faddeev-LeVerrier recurrence (every k <= dim R is invertible mod p)."""
+    m = len(R)
+    coeffs = [0] * m + [1]                  # coeffs[i] multiplies x^i
+    N = [[0] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        N = [[(sum(R[i][t] * N[t][j] for t in range(m))
+               + (coeffs[m - k + 1] if i == j else 0)) % p for j in range(m)]
+             for i in range(m)]
+        trace = sum(R[i][t] * N[t][i] for i in range(m) for t in range(m))
+        coeffs[m - k] = -trace * pow(k, -1, p) % p
+
+    def value(x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
+    return [x for x in range(p) if value(x) == 0]
 
 
-def _dixon_characters(G: FiniteGroup) -> list[ClassFunction]:
-    """Exact irreducible characters via the numeric Burnside/Dixon
-    search plus exact recognition.  Verification happens later in
-    CharacterTable."""
+def _split(A: list[list[int]], space, p: int) -> list:
+    """The eigenspaces mod p of A on an A-invariant subspace, given as
+    rows in reduced echelon form with their pivot columns; raises unless
+    A is diagonalizable there."""
+    rows, pivots = space
+    m, k = len(rows), len(rows[0])
+    if m == 1:
+        return [space]
+    # A b_t in coordinates of the basis: its entries at the pivot columns
+    R = [[sum(x * y for x, y in zip(A[c], b)) % p for b in rows] for c in pivots]
+    if all(v == (R[0][0] if s == t else 0)
+           for s, line in enumerate(R) for t, v in enumerate(line)):
+        return [space]                      # scalar: nothing to split
+    parts = []
+    for lam in _eigenvalues(R, p):
+        shifted = [[v - lam if s == t else v for t, v in enumerate(line)]
+                   for s, line in enumerate(R)]
+        parts.append(_rref([[sum(y_t * b[l] for y_t, b in zip(y, rows))
+                             for l in range(k)] for y in _nullspace(shifted, p)], p))
+    if sum(len(part[0]) for part in parts) != m:
+        raise TableDerivationError("a class matrix is not diagonalizable mod p")
+    return parts
+
+
+def _primitive_root_of_unity(p: int) -> int:
+    """The first power x^((p-1)/CONDUCTOR) mod p of order exactly
+    CONDUCTOR = 2^3 * 3 * 5."""
+    powers = (pow(x, (p - 1) // CONDUCTOR, p) for x in range(2, p))
+    return next(z for z in powers
+                if all(pow(z, CONDUCTOR // f, p) != 1 for f in (2, 3, 5)))
+
+
+def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
+    """Exact irreducible characters by Dixon's modular method with
+    Schneider's splitting.  Verification happens later in CharacterTable.
+
+    The class matrices M_i[j][l] = a_{ijl} commute, and their common
+    eigenvectors are the central characters omega_j = |C_j| chi(g_j) /
+    chi(1).  Over GF(p), with p prime, p = 1 mod CONDUCTOR and p > |G|,
+    the group algebra splits, so the eigenspaces cut the class space
+    into lines.  chi(1)^2 <= |G| < p and every eigenvalue multiplicity
+    of rho(g) lies in 0..chi(1), so both are recovered exactly from
+    their residues, and chi(g) is their sum over roots of unity."""
+    if ((p - 1) % CONDUCTOR or p <= len(G)
+            or any(p % f == 0 for f in range(2, math.isqrt(p) + 1))):
+        raise TableDerivationError(
+            f"{p} is not a prime = 1 mod {CONDUCTOR} above |{G.name}| = {len(G)}")
     k = G.num_classes
-    a = _structure_matrices(G)
-    sizes = np.array(G.class_sizes, dtype=float)
-    orders = [G.orders[rep] for rep in G.class_reps]
-    for seed in range(16):
-        rng = np.random.default_rng(20240 + seed)
-        weights = rng.standard_normal(k)
-        M = np.tensordot(weights, a, axes=(0, 0))   # sum_i w_i a[i, :, :]
-        # right eigenvectors of the commuting class-sum action
-        _, vecs = np.linalg.eig(M.astype(float))
-        chars: list[ClassFunction] = []
-        ok = True
-        for col in range(k):
-            u = vecs[:, col]
-            if abs(u[0]) < 1e-9:
-                ok = False
-                break
-            u = u / u[0]
-            denom = float(np.sum(np.abs(u) ** 2 / sizes))
-            dim_f = (len(G) / denom) ** 0.5
-            dim = round(dim_f)
-            if dim < 1 or abs(dim_f - dim) > 1e-6:
-                ok = False
-                break
-            exact = []
-            for j in range(k):
-                target = dim * u[j] / sizes[j]
-                val = _recognize(complex(target), orders[j], dim)
-                if val is None:
-                    ok = False
-                    break
-                exact.append(val)
-            if not ok:
-                break
-            chars.append(ClassFunction(G, exact))
-        if ok and len({cf.values for cf in chars}) == k:
-            return chars
-    raise TableDerivationError(
-        f"Dixon search failed to produce a recognizable table for {G.name}")
+    spaces = [_rref([[int(i == j) for j in range(k)] for i in range(k)], p)]
+    for A in _structure_matrices(G):       # class matrices in class order
+        if all(len(rows) == 1 for rows, _ in spaces):
+            break
+        spaces = [part for space in spaces for part in _split(A, space, p)]
+    if any(len(rows) != 1 for rows, _ in spaces):
+        raise TableDerivationError(
+            f"the class matrices of {G.name} leave an eigenspace wider than 1 mod {p}")
+
+    e_class = G.class_of[G.identity_index]
+    inverse_class = [G.class_of[G.inv[rep]] for rep in G.class_reps]
+    inv_size = [pow(size, -1, p) for size in G.class_sizes]
+    z = _primitive_root_of_unity(p)
+    powers = []      # per class: order o, classes of g^0..g^(o-1), zeta_o^e mod p
+    for rep in G.class_reps:
+        order, cls, cur = G.orders[rep], [], G.identity_index
+        for _ in range(order):
+            cls.append(G.class_of[cur])
+            cur = G.mult[cur][rep]
+        powers.append((order, cls,
+                       [pow(z, CONDUCTOR // order * e, p) for e in range(order)]))
+
+    chars = []
+    for (u,), _ in spaces:
+        if not u[e_class]:
+            raise TableDerivationError("a central character vanishes at E")
+        scale = pow(u[e_class], -1, p)
+        omega = [v * scale % p for v in u]
+        norm = sum(omega[j] * omega[inverse_class[j]] * inv_size[j]
+                   for j in range(k)) % p
+        dimsq = len(G) * pow(norm, -1, p) % p if norm else 0
+        dim = math.isqrt(dimsq)
+        if dim < 1 or dim * dim != dimsq:
+            raise TableDerivationError(f"chi(1)^2 = {dimsq} mod {p} is not a square")
+        residues = [dim * w * s % p for w, s in zip(omega, inv_size)]
+        values = []
+        for order, cls, zeta in powers:
+            inv_order = pow(order, -1, p)
+            value = ZERO
+            for e in range(order):
+                m = inv_order * sum(residues[c] * zeta[-e * l % order]
+                                    for l, c in enumerate(cls)) % p
+                if m > dim:
+                    raise TableDerivationError(
+                        f"eigenvalue multiplicity {m} mod {p} exceeds chi(1) = {dim}")
+                if m:
+                    value = value + root_of_unity(order, e) * m
+            values.append(value)
+        chars.append(ClassFunction(G, values))
+    return chars
 
 
 # -- canonical labeling -------------------------------------------------
@@ -429,7 +515,7 @@ def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
     if not G.presentation:
         raise TableDerivationError(
             f"{G.name} has no presentation triple; adopt R/S/T generators first")
-    reference = REFERENCE_INDUCTIONS[{3: "2T", 4: "2O", 5: "2I"}[G.presentation[2]]]
+    reference = REFERENCE_INDUCTIONS[GROUP_NAMES[G.presentation[2]]]
     e_class = G.class_of[G.identity_index]
     dims = [c.value_on_class(e_class).as_integer() for c in chars]
     spinors = []

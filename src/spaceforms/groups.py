@@ -138,12 +138,14 @@ def generator_triple(n: int, variant: int = 0) -> tuple[Quat, Quat, Quat]:
 def _closure(gens: list[Quat]):
     """BFS closure from the identity; returns elements in discovery
     order, the index map, and left-multiplication rows for every
-    element (composed along the BFS tree, so only O(|gens|*|G|)
-    quaternion products are needed)."""
+    element (composed along the BFS tree, so only the |gens|*|G|
+    quaternion products of the search itself are needed: every element
+    is in exactly one frontier)."""
     elements = [QUAT_ONE]
     index = {QUAT_ONE: 0}
     frontier = [QUAT_ONE]
     parent: list[tuple[int, int] | None] = [None]   # (gen id, source idx)
+    gen_perm: list[dict[int, int]] = [{} for _ in gens]   # x -> index of g*x
     while frontier:
         new = []
         for gi, g in enumerate(gens):
@@ -154,11 +156,11 @@ def _closure(gens: list[Quat]):
                     elements.append(p)
                     parent.append((gi, index[x]))
                     new.append(p)
+                gen_perm[gi][index[x]] = index[p]
         frontier = new
         if len(elements) > 10000:
             raise GroupConstructionError("closure did not terminate")
     size = len(elements)
-    gen_perm = [[index[g * x] for x in elements] for g in gens]
     left = [list(range(size))] + [None] * (size - 1)
     for idx in range(1, size):
         gi, src = parent[idx]

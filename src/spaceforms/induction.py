@@ -271,14 +271,15 @@ class MonomialRep:
             raise ValueError("inducing map does not send E to the identity")
 
     @staticmethod
-    def from_cyclic_twist(G: FiniteGroup, gen: str, r: int) -> "MonomialRep":
-        H = G.cyclic_subgroup(gen)
-        sub = H.group
-        q = len(sub)
-        blocks = {}
-        for pos in range(q):
-            p = sub.to_parent[pos]
-            blocks[p] = ((cyclic_character(H, r).value_on_class(pos),),)
+    def from_cyclic_twist(G: FiniteGroup, H: SubgroupHandle | str,
+                          r: int) -> "MonomialRep":
+        """Induced from omega^r on a cyclic subgroup, given as a handle
+        or by the name of its generator."""
+        if isinstance(H, str):
+            H = G.cyclic_subgroup(H)
+        chi = cyclic_character(H, r)
+        blocks = {p: ((chi.value_on_class(pos),),)
+                  for pos, p in enumerate(H.group.to_parent)}
         return MonomialRep(G, H, blocks, 1)
 
     @staticmethod
@@ -334,35 +335,41 @@ def _identity_matrix(d: int):
 
 
 def _mat_mul(A, B):
-    d = len(A)
-    return tuple(tuple(sum((A[a][k] * B[k][b] for k in range(d)), ZERO)
-                       for b in range(d)) for a in range(d))
+    """Exact product of two matrices given as row sequences."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B))
+                 for row in A)
 
 
-def verify_monomial_rep(G: FiniteGroup, gen: str, r: int,
-                        exhaustive: bool | None = None,
-                        random_pairs: int = 1000) -> bool:
-    """Homomorphism property of the induced matrices (exhaustively on
-    all |G|^2 products for small groups, generator pairs plus seeded
-    random products otherwise) and exactness of the trace against the
-    induced character on every class."""
-    import random as _random
+def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> bool:
+    """Homomorphism property of the induced matrices on all |G|^2
+    products, and exactness of the trace against the induced character
+    on every class.
+
+    D(E) is the identity and D(x) D(s) = D(xs) is checked for every x
+    reached from E by right multiplication with a generator s; once
+    every element is reached, each one is a word in the generators, so
+    D(a) D(b) = D(ab) follows for all pairs."""
     H = G.cyclic_subgroup(gen)
     rep = induced_matrices(G, gen, r)
     if rep.character() != induce_character(H, r):
         return False
-    size = len(G)
-    if exhaustive is None:
-        exhaustive = size <= 24
-    if exhaustive:
-        pairs = ((a, b) for a in range(size) for b in range(size))
-    else:
-        rng = _random.Random(9000 + size + r)
-        gens = sorted(set(G.generators.values()))
-        pairs = ([(a, b) for a in gens for b in gens]
-                 + [(rng.randrange(size), rng.randrange(size))
-                    for _ in range(random_pairs)])
-    return all(rep.is_homomorphic_at(a, b) for a, b in pairs)
+    e, n = G.identity_index, rep.cosets.count
+    if rep.data[e] != (tuple(range(n)), (e,) * n):
+        return False
+    gens = sorted(set(G.generators.values()))
+    reached, frontier = {e}, [e]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in gens:
+                if not rep.is_homomorphic_at(x, s):
+                    return False
+                y = G.mult[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    new.append(y)
+        frontier = new
+    return len(reached) == len(G)
 
 
 def induced_matrices(G: FiniteGroup, gen_or_handle, B) -> MonomialRep:
@@ -371,19 +378,10 @@ def induced_matrices(G: FiniteGroup, gen_or_handle, B) -> MonomialRep:
     `B` may be a cyclic twist index (for a cyclic subgroup named by its
     generator) or a mapping from parent element indices of H to d x d
     CycloNum matrices."""
-    if isinstance(gen_or_handle, str):
-        H = G.cyclic_subgroup(gen_or_handle)
-        if isinstance(B, int):
-            return MonomialRep.from_cyclic_twist(G, gen_or_handle, B)
-    else:
-        H = gen_or_handle
-        if isinstance(B, int):
-            sub = H.group
-            q = len(sub)
-            chi = cyclic_character(H, B)
-            blocks = {sub.to_parent[pos]: ((chi.value_on_class(pos),),)
-                      for pos in range(q)}
-            return MonomialRep(G, H, blocks, 1)
+    H = (G.cyclic_subgroup(gen_or_handle) if isinstance(gen_or_handle, str)
+         else gen_or_handle)
+    if isinstance(B, int):
+        return MonomialRep.from_cyclic_twist(G, H, B)
     blocks = {p: tuple(tuple(row) for row in mat) for p, mat in B.items()}
     d = len(next(iter(blocks.values())))
     return MonomialRep(G, H, blocks, d)

@@ -35,7 +35,9 @@ keeps the direct per-level inner product.
 An independent numeric oracle is provided for small levels: explicit
 spin-j matrices are built from the quaternions, the group average of
 rho-bar tensor D^(j) is formed, and its trace (the invariant count) is
-compared against the exact formula.
+compared against the exact formula.  The oracle is the only user of
+numpy in the library, so its functions import numpy when called and
+importing this module (or the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product, spin_character, trivial_character)
 from .exactnum import ZERO, CycloNum, root_of_unity
 from .groups import ContractViolation, FiniteGroup, SubgroupHandle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TwistError(ValueError):
@@ -365,6 +369,7 @@ def lens_torsion(q: int, r: int) -> LensTorsion:
 
 def su2_matrix(e) -> np.ndarray:
     """Double-precision SU(2) matrix of a quaternion element."""
+    import numpy as np
     w, x, y, z = (c.to_complex().real for c in (e.w, e.x, e.y, e.z))
     return np.array([[w + 1j * x, y + 1j * z],
                      [-y + 1j * z, w - 1j * x]], dtype=complex)
@@ -373,6 +378,7 @@ def su2_matrix(e) -> np.ndarray:
 def spin_matrix(u: np.ndarray, two_j: int) -> np.ndarray:
     """Spin-j matrix in the orthonormal monomial basis (standard angular
     momentum construction, unitary for u in SU(2))."""
+    import numpy as np
     dim = two_j + 1
     out = np.zeros((dim, dim), dtype=complex)
     a11, a12 = u[0, 0], u[0, 1]
@@ -400,6 +406,7 @@ def spin_matrix(u: np.ndarray, two_j: int) -> np.ndarray:
 
 
 def _frozen(mats) -> np.ndarray:
+    import numpy as np
     stacked = np.stack(mats)
     stacked.flags.writeable = False
     return stacked
@@ -419,6 +426,7 @@ def _irrep_matrices(G: FiniteGroup, name: str) -> np.ndarray:
     """Numeric matrices of an irreducible, stacked along the first axis,
     extracted from the smallest spin representation containing it
     exactly once; built once per (group, irrep)."""
+    import numpy as np
     table = character_table(G)
     irrep = table[name]
     if irrep.name in G._oracle_irreps:
@@ -459,6 +467,7 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
     Independent of the character-formula path: the spin matrices are
     built numerically from the quaternions and the average is a plain
     matrix sum."""
+    import numpy as np
     if n > ORACLE_MAX_LEVEL:
         raise ValueError(f"oracle restricted to levels <= {ORACLE_MAX_LEVEL}")
     tw = TwistSpec.coerce(target, twist)

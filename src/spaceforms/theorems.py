@@ -20,7 +20,7 @@ from fractions import Fraction
 from ._reference_tables import REFERENCE_SOLUTION_MATRICES
 from .characters import character_table
 from .groups import ContractViolation, FiniteGroup, SubgroupHandle
-from .induction import induce_character, induce_twist
+from .induction import _mat_mul, induce_character, induce_twist
 from .spectra import degeneracy_series
 
 GENERATORS = ("R", "S", "T", "RST")
@@ -76,12 +76,6 @@ def _rank(rows: list[list[Fraction]]) -> int:
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
-
-
-def _mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
 
 
 # -- per-irrep quantities: the linear systems ----------------------------

@@ -1,13 +1,16 @@
 import cmath
+import hashlib
 
 import pytest
 
 from spaceforms import groups
-from spaceforms.characters import (character_table,
+from spaceforms.characters import (TableDerivationError, _dixon_characters,
+                                   _rref, _split, character_table,
                                    cyclic_character, inner_product,
                                    inner_product_int, normalize_irrep_name,
                                    regular_character, restrict, spin_character,
                                    trivial_character)
+from spaceforms.cli import main
 from spaceforms.exactnum import ONE, ZERO, embed_float, root_of_unity
 
 EXPECT_NAMES = {
@@ -249,3 +252,43 @@ def test_embedding_of_character_values(g2i):
     tclass = g2i.class_by_label["T"]
     z = embed_float(table["2s"].char.value_on_class(tclass))
     assert abs(z - 2 * cmath.cos(cmath.pi / 5)) < 1e-12
+
+
+def test_second_prime_gives_the_same_table(all_groups):
+    # 601 = 5 * 120 + 1 is another prime carrying the 120th roots of unity
+    for G in all_groups:
+        table = {ir.char.values for ir in character_table(G)}
+        assert {c.values for c in _dixon_characters(G, 241)} == table
+        assert {c.values for c in _dixon_characters(G, 601)} == table
+
+
+def test_unsuitable_primes_are_refused(g2t):
+    # 239 and 251 lack the 120th roots of unity; 121 = 11^2 is no prime
+    for p in (239, 251, 121):
+        with pytest.raises(TableDerivationError):
+            _dixon_characters(g2t, p)
+
+
+def test_split_refuses_a_non_diagonalizable_matrix():
+    plane = _rref([[1, 0], [0, 1]], 241)
+    assert [rows for rows, _ in _split([[2, 0], [0, 3]], plane, 241)] == \
+        [[[1, 0]], [[0, 1]]]
+    with pytest.raises(TableDerivationError):
+        _split([[1, 1], [0, 1]], plane, 241)
+
+
+# SHA-256 of `spaceforms group <G> chartab --format json`, recorded with
+# the earlier floating-point eigenvector derivation: the modular one must
+# reproduce every value, label and order exactly
+CHARTAB_JSON_SHA256 = {
+    "2T": "2fa8ccfec32fa42fccf5b2172844c4d1bb147f585d436fc2c6d6c79b03abd9a7",
+    "2O": "455947446afc2b1b32d630d24463de3e7950f42bd592e216a8f3706d9b433a5f",
+    "2I": "c6ecfc111d4eed8ab799a9223f97abe2d755f3059c7d373a707ae586c82e91c6",
+}
+
+
+def test_chartab_json_is_pinned(capsys):
+    for name, want in CHARTAB_JSON_SHA256.items():
+        assert main(["group", name, "chartab", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, name

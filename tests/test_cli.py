@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from spaceforms.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -184,3 +189,46 @@ def test_spectrum_json_is_standard_with_infinite_tail_bound(capsys):
     code, out, _ = run(capsys, "spectrum", "2T", "--nmax", "4", "--weight",
                        "heat", "--param", "1e-9")
     assert code == 0 and "tail bound inf" in out
+
+
+def _python(code):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = _python("import sys, spaceforms.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+COLD_COMMANDS = (("group", "2I", "chartab"), ("induce", "2I"),
+                 ("spectrum", "2I", "--irrep", "2s", "--nmax", "20"),
+                 ("mckay", "2I"))
+
+
+def test_cli_runs_without_numpy(capsys):
+    # a None entry in sys.modules makes every `import numpy` fail
+    script = "\n".join((
+        "import contextlib, io, json, sys",
+        "sys.modules['numpy'] = None",
+        "from spaceforms.cli import main",
+        "out = []",
+        f"for argv in {COLD_COMMANDS!r}:",
+        "    buf = io.StringIO()",
+        "    with contextlib.redirect_stdout(buf):",
+        "        code = main(list(argv))",
+        "    out.append([code, buf.getvalue()])",
+        "print(json.dumps(out))"))
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    for argv, got in zip(COLD_COMMANDS, json.loads(proc.stdout)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and got == [code, out], argv
+
+
+def test_verify_oracle_passes_with_numpy(capsys):
+    code, out, _ = run(capsys, "verify", "oracle")
+    assert code == 0 and "FAIL" not in out and "PASS" in out

@@ -14,6 +14,15 @@ from spaceforms.groups import (QUAT_ONE, GroupConstructionError, Quat,
 EXPECT = {3: (24, 7), 4: (48, 8), 5: (120, 9)}
 
 
+def test_closure_table_is_the_quaternion_product(g2t, g2o):
+    # the BFS records each generator product once; every composed row
+    # must still be the product of the stored quaternions
+    for G in (g2t, g2o):
+        brute = tuple(tuple(G.index[a * b] for b in G.elements)
+                      for a in G.elements)
+        assert G.mult == brute
+
+
 def test_orders_and_class_counts(all_groups):
     for G in all_groups:
         n = G.presentation[2]

@@ -199,6 +199,30 @@ def test_monomial_rep_rejects_non_homomorphism(g2t):
         MonomialRep(g2t, H, bad, 1)
 
 
+def test_monomial_verification_rejects_one_corrupted_entry(g2i, monkeypatch):
+    # D(E) = 1 and D(x) D(s) = D(xs) for every x and generator s imply
+    # all |G|^2 products, so one wrong entry is caught anywhere, also on
+    # elements the trace check never reads
+    assert induction.verify_monomial_rep(g2i, "S", 1)
+    H = g2i.cyclic_subgroup("S")
+    h = H.generator_index
+    unread = [g for g in range(len(g2i)) if g not in g2i.class_reps][:3]
+    for g in unread:
+        for kind in ("block", "coset"):
+            rep = induced_matrices(g2i, "S", 1)
+            perm, hs = rep.data[g]
+            if kind == "block":
+                bad = (perm, (g2i.mult[hs[0]][h],) + hs[1:])
+            else:
+                bad = ((perm[1], perm[0]) + perm[2:], hs)
+            rep.data = rep.data[:g] + (bad,) + rep.data[g + 1:]
+            assert rep.character() == induce_character(H, 1)
+            monkeypatch.setattr(induction, "induced_matrices",
+                                lambda G, gen, r, rep=rep: rep)
+            assert not induction.verify_monomial_rep(g2i, "S", 1), (g, kind)
+            monkeypatch.undo()
+
+
 def test_regular_rep_splits_over_the_center(all_groups):
     # Ind from {E} = Ind from {E,-E} of the two central characters
     for G in all_groups:
