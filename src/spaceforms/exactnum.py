@@ -9,7 +9,9 @@ A value is stored as a residue modulo the irreducible polynomial
 Phi_120(x) of degree phi(120) = 32, with one common integer denominator
 for the whole coefficient vector.  The representation is always fully
 reduced, so equality is plain coefficient comparison and hashing is
-cheap.  Floating point only ever appears through `embed_float`, which is
+cheap.  Values add, subtract and multiply among themselves, but divide
+by rationals (int or Fraction) only: nothing in the package needs the
+inverse of an irrational value, so none is provided.  Floating point only ever appears through `embed_float`, which is
 for display and diagnostics.
 """
 
@@ -231,23 +233,6 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycloNum":
-        """Multiplicative inverse; Phi_120 is irreducible so every
-        nonzero value is invertible."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_120)")
-        if self.is_rational():
-            return CycloNum.from_rational(1 / self.as_rational())
-        a = [Fraction(x, self.den) for x in self.num]
-        u = _poly_modinv(a, [Fraction(c) for c in _PHI])
-        num = [f.numerator for f in u]
-        dens = [f.denominator for f in u]
-        common = 1
-        for d in dens:
-            common = common * d // gcd(common, d)
-        num = [n * (common // d) for n, d in zip(num, dens)]
-        return CycloNum(tuple(num), common)
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -255,13 +240,12 @@ class CycloNum:
                 raise ZeroDivisionError("division by zero")
             return CycloNum(tuple(x * q.denominator for x in self.num),
                             self.den * q.numerator)
-        if isinstance(other, CycloNum):
-            return self * other.inverse()
         return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers need an inverse; Q(zeta_120) "
+                             "values divide by rationals only")
         out = CycloNum.from_rational(1)
         base = self
         while n:
@@ -334,71 +318,6 @@ class CycloNum:
 
 ZERO = CycloNum.from_rational(0)
 ONE = CycloNum.from_rational(1)
-
-
-def _poly_modinv(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of polynomial a modulo `mod` over Q (extended Euclid)."""
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def polymod(p, q):
-        p = p[:]
-        dq = len(q) - 1
-        inv_lead = 1 / q[-1]
-        for i in range(len(p) - 1, dq - 1, -1):
-            c = p[i] * inv_lead
-            if c:
-                for j in range(dq + 1):
-                    p[i - dq + j] -= c * q[j]
-        return trim(p[:dq])
-
-    def polydivmod(p, q):
-        p = p[:]
-        dq = len(q) - 1
-        inv_lead = 1 / q[-1]
-        quo = [Fraction(0)] * max(1, len(p) - dq)
-        for i in range(len(p) - 1, dq - 1, -1):
-            c = p[i] * inv_lead
-            if c:
-                quo[i - dq] = c
-                for j in range(dq + 1):
-                    p[i - dq + j] -= c * q[j]
-        return trim(quo), trim(p[:dq] if len(p) > dq else p)
-
-    def polymul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    if qj:
-                        out[i + j] += pi * qj
-        return trim(out)
-
-    def polysub(p, q):
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, pi in enumerate(p):
-            out[i] += pi
-        for i, qi in enumerate(q):
-            out[i] -= qi
-        return trim(out)
-
-    r0, r1 = [Fraction(c) for c in mod], trim([Fraction(c) for c in a])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = polydivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, polysub(s0, polymul(q, s1))
-    if not r1 or r1 == [Fraction(0)]:
-        raise ZeroDivisionError("element is not invertible")
-    c = r1[0]
-    inv = [x / c for x in s1]
-    inv = polymod(inv, [Fraction(x) for x in mod])
-    out = [Fraction(0)] * DEGREE
-    for i, v in enumerate(inv):
-        out[i] = v
-    return out
 
 
 def root_of_unity(m: int, k: int = 1) -> CycloNum:

@@ -96,7 +96,7 @@ def _cos_sin(q: int) -> tuple[CycloNum, CycloNum]:
     z = root_of_unity(q, 1)
     zb = root_of_unity(q, -1)
     c = (z + zb) / 2
-    s = (z - zb) / (root_of_unity(4, 1) * 2)
+    s = (zb - z) * root_of_unity(4, 1) / 2     # (z - 1/z) / 2i
     return c, s
 
 
@@ -122,9 +122,9 @@ def generator_triple(n: int, variant: int = 0) -> tuple[Quat, Quat, Quat]:
         r2 = root_of_unity(8, 1) + root_of_unity(8, -1)   # sqrt(2)
         s = _half(ONE, ONE, ONE, ONE)
         if variant == 0:
-            t = Quat(ONE / r2, ONE / r2, ZERO, ZERO)
+            t = Quat(r2 / 2, r2 / 2, ZERO, ZERO)
         else:
-            t = Quat(ONE / r2, ZERO, ONE / r2, ZERO)
+            t = Quat(r2 / 2, ZERO, r2 / 2, ZERO)
         return s * t, s, t
     if n == 5:
         tau = root_of_unity(10, 1) + root_of_unity(10, -1)  # golden ratio
