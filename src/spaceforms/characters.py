@@ -332,9 +332,15 @@ def _structure_matrices(G: FiniteGroup) -> list[list[list[int]]]:
     return a
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p): (nonzero rows, pivot columns)."""
-    rows = [[v % p for v in r] for r in rows]
+def _rref(rows: list[list], p: int | None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over GF(p), or over Q (as Fractions) when
+    p is None: (nonzero rows, pivot columns)."""
+    if p is None:
+        rows = [[Fraction(v) for v in r] for r in rows]
+        reduce, reciprocal = (lambda v: v), (lambda v: 1 / v)
+    else:
+        rows = [[v % p for v in r] for r in rows]
+        reduce, reciprocal = (lambda v: v % p), (lambda v: pow(v, -1, p))
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -342,12 +348,12 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
+        inv = reciprocal(rows[r][c])
+        rows[r] = [reduce(v * inv) for v in rows[r]]
         for i, row in enumerate(rows):
             f = row[c]
             if i != r and f:
-                rows[i] = [(v - f * w) % p for v, w in zip(row, rows[r])]
+                rows[i] = [reduce(v - f * w) for v, w in zip(row, rows[r])]
         pivots.append(c)
     return rows[:len(pivots)], pivots
 

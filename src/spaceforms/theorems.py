@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._reference_tables import REFERENCE_SOLUTION_MATRICES
-from .characters import character_table
+from .characters import _rref, character_table
 from .groups import ContractViolation, FiniteGroup, SubgroupHandle
 from .induction import _mat_mul, induce_character, induce_twist
 from .spectra import degeneracy_series
@@ -35,47 +35,6 @@ class CheckResult:
     def as_dict(self) -> dict:
         return {"item": self.key, "status": "pass" if self.passed else "FAIL",
                 "detail": self.detail}
-
-
-# -- exact linear algebra over Q ----------------------------------------
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system: no pivot in column "
-                             f"{col} (rank deficiency)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 # -- per-irrep quantities: the linear systems ----------------------------
@@ -142,7 +101,15 @@ def solve_irrep_quantities(G: FiniteGroup, sector: str,
         raise ValueError(f"need exactly {len(irreps)} equations for "
                          f"{len(irreps)} unknowns")
     A = [decomposition_row(G, r, gen, sector) for r, gen in chosen_rhs]
-    M = _invert(A)
+    n = len(A)
+    # M = A^-1 is the right half of the reduced echelon form of [A | I]
+    rows, pivots = _rref([row + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(A)], None)
+    missing = next((c for c in range(n) if c not in pivots), None)
+    if missing is not None:
+        raise ValueError("singular system: no pivot in column "
+                         f"{missing} (rank deficiency)")
+    M = [row[n:] for row in rows]
     sol = SolutionMatrix(G.name, sector, [ir.name for ir in irreps],
                          list(chosen_rhs), M, A)
     if not sol.round_trip_is_identity():
@@ -406,8 +373,8 @@ def _induced_span_rank(G: FiniteGroup, gens) -> int:
         H = G.cyclic_subgroup(gen)
         for r in range(H.order):
             dec = induce_twist(G, gen, r).as_dict()
-            rows.append([Fraction(dec.get(ir.name, 0)) for ir in table])
-    return _rank(rows)
+            rows.append([dec.get(ir.name, 0) for ir in table])
+    return len(_rref(rows, None)[1])
 
 
 def verify_solved_system_consistency(G: FiniteGroup, sector: str,

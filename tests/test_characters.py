@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -267,6 +268,18 @@ def test_unsuitable_primes_are_refused(g2t):
     for p in (239, 251, 121):
         with pytest.raises(TableDerivationError):
             _dixon_characters(g2t, p)
+
+
+def test_rref_over_q_and_mod_p():
+    rows = [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
+    # over Q the third row is the sum of the first two: rank 2
+    echelon, pivots = _rref(rows, None)
+    assert pivots == [0, 2]
+    assert echelon == [[1, 2, 0], [0, 0, 1]]
+    assert all(isinstance(v, Fraction) for row in echelon for v in row)
+    assert _rref([[2, 1], [1, 2]], None)[0] == [[1, 0], [0, 1]]
+    # mod 3 the same pair is singular: 2 * (1, 2) = (2, 1)
+    assert _rref([[2, 1], [1, 2]], 3) == ([[1, 2]], [0])
 
 
 def test_split_refuses_a_non_diagonalizable_matrix():
