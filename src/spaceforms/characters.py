@@ -521,7 +521,7 @@ def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
     if not G.presentation:
         raise TableDerivationError(
             f"{G.name} has no presentation triple; adopt R/S/T generators first")
-    reference = REFERENCE_INDUCTIONS[GROUP_NAMES[G.presentation[2]]]
+    reference = REFERENCE_INDUCTIONS[GROUP_NAMES[G.presentation[2]][0]]
     e_class = G.class_of[G.identity_index]
     dims = [c.value_on_class(e_class).as_integer() for c in chars]
     spinors = []

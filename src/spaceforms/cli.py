@@ -20,8 +20,6 @@ from .exactnum import format_value
 from .groups import ContractViolation, FiniteGroup
 
 SCHEMA = "spaceforms/1"
-GROUP_ALIASES = {"2T": "2T", "T'": "2T", "2O": "2O", "O'": "2O",
-                 "2I": "2I", "Y'": "2I"}
 
 
 class UsageError(ValueError):
@@ -30,19 +28,25 @@ class UsageError(ValueError):
 
 def resolve_group(selector: str, cache: str | None = None) -> FiniteGroup:
     sel = selector.strip().upper().replace("′", "'")
-    if sel in ("T'", "O'", "Y'"):
-        sel = GROUP_ALIASES[sel]
-    if sel in GROUP_ALIASES:
-        name = GROUP_ALIASES[sel]
-        if cache:
-            path = os.path.join(cache, f"{name}.json")
+    n = groups_mod.polyhedral_n(sel)
+    if n is not None:
+        name = groups_mod.GROUP_NAMES[n][0]
+        if not cache:
+            return groups_mod.binary_polyhedral(name)
+        path = os.path.join(cache, f"{name}.json")
+        try:
             if os.path.exists(path):
-                return groups_mod.load_group(path)
-            G = groups_mod.binary_polyhedral(name)
-            os.makedirs(cache, exist_ok=True)
-            groups_mod.save_group(G, path)
-            return G
-        return groups_mod.binary_polyhedral(name)
+                G = groups_mod.load_group(path)
+            else:
+                G = groups_mod.binary_polyhedral(name)
+                os.makedirs(cache, exist_ok=True)
+                groups_mod.save_group(G, path)
+        except OSError as exc:
+            raise UsageError(f"cache {cache!r}: {exc}") from None
+        if G.name != name or G.presentation != (2, 3, n):
+            raise UsageError(f"cache file {path!r} holds {G.name} with "
+                             f"presentation {G.presentation}, not {name}")
+        return G
     if sel.startswith("Z"):
         try:
             q = int(sel[1:])

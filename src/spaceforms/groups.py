@@ -481,14 +481,20 @@ def _subgroup_closure(G: FiniteGroup, seed) -> list[int]:
 
 _BUILD_CACHE: dict[tuple, FiniteGroup] = {}
 
-GROUP_NAMES = {3: "2T", 4: "2O", 5: "2I"}
+# The one name table: n of <2,3,n> -> (canonical name, classical alias)
+GROUP_NAMES = {3: ("2T", "T'"), 4: ("2O", "O'"), 5: ("2I", "Y'")}
+
+
+def polyhedral_n(name: str) -> int | None:
+    """n of <2,3,n> for a canonical name or alias, None for any other."""
+    return next((n for n, names in GROUP_NAMES.items() if name in names), None)
 
 
 def build_binary_polyhedral(l: int = 2, m: int = 3, n: int = 3,
                             variant: int = 0) -> FiniteGroup:
     """Enumerate <l,m,n> from quaternion generators and verify the
     presentation relations exactly."""
-    if (l, m, n) not in ((2, 3, 3), (2, 3, 4), (2, 3, 5)):
+    if (l, m) != (2, 3) or n not in GROUP_NAMES:
         raise ValueError(f"unsupported presentation <{l},{m},{n}>")
     key = (l, m, n, variant)
     if key in _BUILD_CACHE:
@@ -511,11 +517,12 @@ def build_binary_polyhedral(l: int = 2, m: int = 3, n: int = 3,
     if rst != nege or rst * rst != QUAT_ONE:
         raise GroupConstructionError("(RST)^2 = E fails")
 
-    name = GROUP_NAMES[n] + ("" if variant == 0 else f"#{variant}")
+    name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
     G = FiniteGroup.from_generators(name, {"R": R, "S": S, "T": T},
                                     presentation=(l, m, n))
     G.generators["RST"] = G.index[rst]
-    expected_order = {3: 24, 4: 48, 5: 120}[n]
+    # |<l,m,n>| = 4 / (1/l + 1/m + 1/n - 1)
+    expected_order = 4 * l * m * n // (m * n + l * n + l * m - l * m * n)
     if len(G) != expected_order:
         raise GroupConstructionError(
             f"closure of <{l},{m},{n}> has order {len(G)}, "
@@ -535,10 +542,10 @@ def build_binary_polyhedral(l: int = 2, m: int = 3, n: int = 3,
 
 def binary_polyhedral(name: str) -> FiniteGroup:
     """Build by conventional name 2T / 2O / 2I (aliases T'/O'/Y')."""
-    canon = {"2T": 3, "T'": 3, "2O": 4, "O'": 4, "2I": 5, "Y'": 5}
-    if name not in canon:
+    n = polyhedral_n(name)
+    if n is None:
         raise ValueError(f"unknown group name {name!r}")
-    return build_binary_polyhedral(2, 3, canon[name])
+    return build_binary_polyhedral(2, 3, n)
 
 
 def cyclic_group(q: int) -> FiniteGroup:

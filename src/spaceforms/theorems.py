@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from ._reference_tables import REFERENCE_SOLUTION_MATRICES
 from .characters import _rref, character_table
-from .groups import ContractViolation, FiniteGroup, SubgroupHandle
+from .groups import (GROUP_NAMES, ContractViolation, FiniteGroup,
+                     SubgroupHandle)
 from .induction import _mat_mul, induce_character, induce_twist
 from .spectra import degeneracy_series
 
@@ -118,7 +119,8 @@ def solve_irrep_quantities(G: FiniteGroup, sector: str,
 
 
 def reference_system(G: FiniteGroup, sector: str):
-    ref = REFERENCE_SOLUTION_MATRICES[(G.name.split("#")[0], sector)]
+    name = GROUP_NAMES[G.presentation[2]][0]
+    ref = REFERENCE_SOLUTION_MATRICES[(name, sector)]
     matrix = [[Fraction(v) for v in row] for row in ref["matrix"]]
     return ref["rows"], [tuple(x) for x in ref["rhs"]], matrix
 

@@ -128,6 +128,30 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert code == 0 and out1 == out2
 
 
+def test_cache_refuses_a_file_holding_another_group(capsys, tmp_path):
+    assert run(capsys, "--cache", str(tmp_path), "group", "2T", "order")[0] == 0
+    doc = json.loads((tmp_path / "2T.json").read_text())
+    (tmp_path / "2I.json").write_text(json.dumps(doc))
+    for argv in (["group", "2I", "order"], ["induce", "Y'", "--format", "json"]):
+        code, out, err = run(capsys, "--cache", str(tmp_path), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "holds 2T" in err
+    # the right name is not enough: the presentation must match too
+    doc["name"] = "2I"
+    (tmp_path / "2I.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
+    assert code == 2 and out == "" and "presentation (2, 3, 3)" in err
+
+
+def test_cache_naming_a_regular_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    code, out, err = run(capsys, "--cache", str(path), "group", "2T", "order")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cache ")
+    assert path.read_text() == ""
+
+
 def test_verify_subsets(capsys):
     code, out, _ = run(capsys, "verify", "torsion")
     assert code == 0 and "PASS" in out
