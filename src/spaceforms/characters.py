@@ -99,16 +99,21 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> CycloNum:
     return acc / len(G)
 
 
-def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
-    """Inner product that must be a non-negative integer (multiplicity)."""
-    v = inner_product(a, b)
+def nonnegative_int(v: CycloNum, what: str) -> int:
+    """v as an int, which the program's own exact identities guarantee
+    to be a non-negative integer; ContractViolation naming `what` if not."""
     try:
         n = v.as_integer()
     except ValueError:
-        raise ContractViolation(f"non-integral multiplicity {v}") from None
+        raise ContractViolation(f"non-integral {what}: {v}") from None
     if n < 0:
-        raise ContractViolation(f"negative multiplicity {n}")
+        raise ContractViolation(f"negative {what}: {n}")
     return n
+
+
+def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
+    """Inner product that must be a non-negative integer (multiplicity)."""
+    return nonnegative_int(inner_product(a, b), "multiplicity")
 
 
 def trivial_character(G: FiniteGroup) -> ClassFunction:
@@ -496,25 +501,6 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
 # -- canonical labeling -------------------------------------------------
 
 
-def _subduction_multiplicity(G, chi: ClassFunction, gen: str, r: int) -> int:
-    """<Sub chi, omega^r> on the cyclic subgroup generated by `gen`."""
-    H = G.cyclic_subgroup(gen)
-    sub = H.group
-    q = len(sub)
-    acc = ZERO
-    for j, rep in enumerate(sub.class_reps):
-        val = chi.value_on_element(sub.to_parent[rep])
-        acc = acc + val.conjugate() * root_of_unity(q, r * j)
-    v = acc / q
-    try:
-        m = v.as_integer()
-    except ValueError:
-        raise ContractViolation(f"non-integral subduction multiplicity {v}") from None
-    if m < 0:
-        raise ContractViolation("negative subduction multiplicity")
-    return m
-
-
 def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
     """Attach canonical names so the reference induction tables hold
     verbatim; tie-break by lexicographic row rendering."""
@@ -540,9 +526,11 @@ def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
     # multiplicities of each candidate character in each reference row
     mult: dict[tuple[str, int, int], int] = {}
     for gen, rows in reference.items():
-        for r in range(len(rows)):
-            for ci, c in enumerate(chars):
-                mult[(gen, r, ci)] = _subduction_multiplicity(G, c, gen, r)
+        H = G.cyclic_subgroup(gen)
+        for ci, c in enumerate(chars):
+            sub = restrict(c, H)
+            for r in range(len(rows)):
+                mult[(gen, r, ci)] = inner_product_int(sub, cyclic_character(H, r))
 
     families: dict[tuple[int, bool], list[int]] = {}
     for ci, (d, s) in enumerate(zip(dims, spinors)):

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .characters import (ClassFunction, character_table, cyclic_character,
-                         inner_product, spin_character, trivial_character)
+                         inner_product, nonnegative_int, spin_character)
 from .exactnum import ZERO, CycloNum, root_of_unity
 from .groups import ContractViolation, FiniteGroup, SubgroupHandle
 
@@ -146,21 +146,10 @@ def _genuine_twist(target, twist) -> TwistSpec:
     return tw
 
 
-def _checked_multiplicity(m: CycloNum, what: str) -> int:
-    try:
-        mult = m.as_integer()
-    except ValueError:
-        raise ContractViolation(f"non-integral {what}: {m}") from None
-    if mult < 0:
-        raise ContractViolation(f"negative {what}: {mult}")
-    return mult
-
-
 def _multiplicity(chi: ClassFunction, n: int) -> int:
     """m_n = <chi, Res chi_{n/2}>, checked to be a non-negative integer."""
-    return _checked_multiplicity(
-        inner_product(chi, spin_character(chi.group, n)),
-        f"intertwining number at level {n}")
+    return nonnegative_int(inner_product(chi, spin_character(chi.group, n)),
+                           f"intertwining number at level {n}")
 
 
 def _column(G: FiniteGroup, irreducible, depth: int) -> tuple:
@@ -240,9 +229,8 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
     at_e = chi.value_on_element(G.identity_index).conjugate()
     at_neg_e = (chi.value_on_element(G.neg_identity_index).conjugate()
                 if G.neg_identity_index is not None else ZERO)
-    step = [_checked_multiplicity((at_e + sign * at_neg_e)
-                                  * Fraction(period, len(G)),
-                                  f"period step Delta_{p}")
+    step = [nonnegative_int((at_e + sign * at_neg_e) * Fraction(period, len(G)),
+                            f"period step Delta_{p}")
             for p, sign in ((0, 1), (1, -1))]
     if tw.cyclic_twist is not None:
         terms = [(tw.cyclic_twist, 1)]

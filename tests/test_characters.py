@@ -8,11 +8,13 @@ from spaceforms import groups
 from spaceforms.characters import (TableDerivationError, _dixon_characters,
                                    _rref, _split, character_table,
                                    cyclic_character, inner_product,
-                                   inner_product_int, normalize_irrep_name,
+                                   inner_product_int, nonnegative_int,
+                                   normalize_irrep_name,
                                    regular_character, restrict, spin_character,
                                    trivial_character)
 from spaceforms.cli import main
 from spaceforms.exactnum import ONE, ZERO, embed_float, root_of_unity
+from spaceforms.groups import ContractViolation
 
 EXPECT_NAMES = {
     "2T": ["1", "1'", "1''", "2s", "2s'", "2s''", "3"],
@@ -111,6 +113,16 @@ def test_decompose_rejects_non_characters(g2t):
     bad = table["1"].char - table["3"].char
     with pytest.raises(ValueError):
         table.decompose(bad)
+
+
+def test_nonnegative_int_names_the_quantity():
+    assert nonnegative_int(ONE * 3, "count") == 3
+    with pytest.raises(ContractViolation, match="non-integral count"):
+        nonnegative_int(ONE / 2, "count")
+    with pytest.raises(ContractViolation, match="non-integral count"):
+        nonnegative_int(root_of_unity(4, 1), "count")
+    with pytest.raises(ContractViolation, match="negative count: -1"):
+        nonnegative_int(-ONE, "count")
 
 
 def test_restrict(g2t):
