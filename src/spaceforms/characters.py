@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from ._reference_tables import REFERENCE_INDUCTIONS
 from .exactnum import CONDUCTOR, CycloNum, ONE, ZERO, format_value, root_of_unity
-from .groups import (GROUP_NAMES, ContractViolation, FiniteGroup,
+from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle)
 
 
@@ -284,7 +284,7 @@ class CharacterTable:
     def to_json(self) -> dict:
         G = self.group
         return {
-            "schema": "spaceforms/1",
+            "schema": SCHEMA,
             "kind": "character_table",
             "group": G.name,
             "classes": [{"label": lab, "size": size, "element_order": G.orders[rep]}

@@ -17,9 +17,7 @@ from . import groups as groups_mod
 from . import induction, mckay, spectra, theorems
 from .characters import character_table, normalize_irrep_name
 from .exactnum import format_value
-from .groups import ContractViolation, FiniteGroup
-
-SCHEMA = "spaceforms/1"
+from .groups import SCHEMA, ContractViolation, FiniteGroup
 
 
 class UsageError(ValueError):

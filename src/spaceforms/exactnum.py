@@ -11,8 +11,9 @@ for the whole coefficient vector.  The representation is always fully
 reduced, so equality is plain coefficient comparison and hashing is
 cheap.  Values add, subtract and multiply among themselves, but divide
 by rationals (int or Fraction) only: nothing in the package needs the
-inverse of an irrational value, so none is provided.  Floating point only ever appears through `embed_float`, which is
-for display and diagnostics.
+inverse of an irrational value, so none is provided.  Floating point
+only ever appears through `embed_float`, which is for display and
+diagnostics.
 """
 
 from __future__ import annotations

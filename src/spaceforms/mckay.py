@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import character_table, inner_product_int, spin_character
-from .groups import ContractViolation, FiniteGroup
+from .groups import SCHEMA, ContractViolation, FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class McKayGraph:
 
     def to_json(self) -> dict:
         return {
-            "schema": "spaceforms/1",
+            "schema": SCHEMA,
             "kind": "mckay_graph",
             "group": self.group_name,
             "ade": self.ade_name,
@@ -183,7 +183,7 @@ class CompactifiedDiagram:
 
     def to_json(self) -> dict:
         return {
-            "schema": "spaceforms/1",
+            "schema": SCHEMA,
             "kind": "compactified_diagram",
             "group": self.group_name,
             "poles": list(self.poles),

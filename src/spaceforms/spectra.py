@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product, nonnegative_int, spin_character)
 from .exactnum import ZERO, CycloNum, root_of_unity
-from .groups import ContractViolation, FiniteGroup, SubgroupHandle
+from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,7 +197,7 @@ class DegeneracySeries:
 
     def to_json(self) -> dict:
         return {
-            "schema": "spaceforms/1",
+            "schema": SCHEMA,
             "kind": "degeneracy_series",
             "twist": self.twist.describe(),
             "entries": [{"level": n, "eigenvalue": n * (n + 2), "degeneracy": d}

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from ._reference_tables import REFERENCE_SOLUTION_MATRICES
 from .characters import _rref, character_table
-from .groups import (GROUP_NAMES, ContractViolation, FiniteGroup,
+from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle)
 from .induction import _mat_mul, induce_character, induce_twist
 from .spectra import degeneracy_series
@@ -83,7 +83,7 @@ class SolutionMatrix:
 
     def to_json(self) -> dict:
         return {
-            "schema": "spaceforms/1",
+            "schema": SCHEMA,
             "kind": "solution_matrix",
             "group": self.group_name,
             "sector": self.sector,
