@@ -84,13 +84,6 @@ REFERENCE_INDUCTIONS = {
     },
 }
 
-# Irrep inventories implied by the tables (dimension, spinor, count).
-IRREP_NAMES = {
-    "2T": ["1", "1'", "1''", "2s", "2s'", "2s''", "3"],
-    "2O": ["1", "1'", "2", "2s", "2s'", "3", "3'", "4s"],
-    "2I": ["1", "2s", "2s'", "3", "3'", "4", "4s", "5", "6s"],
-}
-
 # Classical inversion matrices expressing per-irrep spectral quantities
 # in terms of chosen lens-space quantities S(r; generator).  Two of the
 # six are known to deviate from a fresh solve of the induction tables:

@@ -567,11 +567,6 @@ def cyclic_group(q: int) -> FiniteGroup:
     return G
 
 
-def conjugacy_classes(G: FiniteGroup):
-    """The canonical class partition as (label, size, representative)."""
-    return list(zip(G.class_labels, G.class_sizes, G.class_reps))
-
-
 def left_cosets(G: FiniteGroup, H: SubgroupHandle) -> CosetDecomposition:
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import (ClassFunction, character_table,
-                         cyclic_character, inner_product, inner_product_int,
-                         regular_character, restrict)
-from .exactnum import CycloNum, ONE, ZERO
+from .characters import (ClassFunction, character_table, cyclic_character,
+                         inner_product_int, regular_character, restrict)
+from .exactnum import ONE, ZERO
 from .groups import (ContractViolation, CosetDecomposition, FiniteGroup,
                      SubgroupHandle, left_cosets)
 
@@ -280,11 +279,6 @@ class MonomialRep:
         chi = cyclic_character(H, r)
         blocks = {p: ((chi.value_on_class(pos),),)
                   for pos, p in enumerate(H.group.to_parent)}
-        return MonomialRep(G, H, blocks, 1)
-
-    @staticmethod
-    def from_trivial(G: FiniteGroup, H: SubgroupHandle) -> "MonomialRep":
-        blocks = {p: ((ONE,),) for p in H.member_indices}
         return MonomialRep(G, H, blocks, 1)
 
     def compose(self, g1: int, g2: int):

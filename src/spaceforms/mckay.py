@@ -46,25 +46,7 @@ class McKayGraph:
                    for i in range(k))
 
     def arm_lengths(self) -> list[int] | None:
-        """Arm lengths from the unique trivalent node (E-type shapes)."""
-        k = len(self.nodes)
-        tri = [i for i in range(k) if self.degree(i) == 3]
-        if len(tri) != 1:
-            return None
-        arms = []
-        for nb in range(k):
-            if not self.adjacency[tri[0]][nb]:
-                continue
-            length, prev, cur = 1, tri[0], nb
-            while True:
-                nxt = [j for j in range(k)
-                       if self.adjacency[cur][j] and j != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        return sorted(arms)
+        return _trivalent_arms(self.adjacency)
 
     def to_json(self) -> dict:
         return {
@@ -78,13 +60,37 @@ class McKayGraph:
         }
 
 
-def _classify_ade(G: FiniteGroup, graph_nodes, adjacency, marks) -> str:
-    k = len(graph_nodes)
-    degs = sorted(sum(adjacency[i]) for i in range(k))
-    if all(d == 2 for d in degs):
+def _arm_lengths(neighbours: dict, root) -> list[int]:
+    """Sorted lengths of the paths leaving `root` in a graph given as
+    node -> neighbours; raises unless every arm is a simple path."""
+    arms = []
+    for nb in neighbours[root]:
+        length, prev, cur = 1, root, nb
+        while nxt := [x for x in neighbours[cur] if x != prev]:
+            if len(nxt) > 1:
+                raise ContractViolation("graph is not a star of paths")
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    return sorted(arms)
+
+
+def _trivalent_arms(adjacency) -> list[int] | None:
+    """Arm lengths from the unique trivalent node (E-type shapes), or
+    None without exactly one."""
+    k = len(adjacency)
+    tri = [i for i in range(k) if sum(adjacency[i]) == 3]
+    if len(tri) != 1:
+        return None
+    return _arm_lengths({i: [j for j in range(k) if adjacency[i][j]]
+                         for i in range(k)}, tri[0])
+
+
+def _classify_ade(G: FiniteGroup, adjacency) -> str:
+    k = len(adjacency)
+    if all(sum(row) == 2 for row in adjacency):
         return f"A~{k - 1}"
-    arms = McKayGraph(G.name, tuple(graph_nodes), tuple(marks),
-                      tuple(map(tuple, adjacency)), "").arm_lengths()
+    arms = _trivalent_arms(adjacency)
     shapes = {(2, 2, 2): "E6~", (1, 3, 3): "E7~", (1, 2, 5): "E8~"}
     if arms and tuple(arms) in shapes:
         return shapes[tuple(arms)]
@@ -112,7 +118,7 @@ def mckay_graph(G: FiniteGroup) -> McKayGraph:
     names = [ir.name for ir in table]
     graph = McKayGraph(G.name, tuple(names), tuple(marks),
                        tuple(map(tuple, adjacency)),
-                       _classify_ade(G, names, adjacency, marks))
+                       _classify_ade(G, adjacency))
     if not graph.mark_equation_holds():
         raise ContractViolation("affine mark equation fails")
     if G.neg_identity_index is not None:
@@ -132,7 +138,6 @@ class CompactifiedDiagram:
     poles: tuple                  # ("E", "-E")
     arcs: dict                    # generator -> list of internal class labels
     reflection: dict              # generator -> "self" or the partner generator
-    adjacency: dict               # class label -> sorted tuple of neighbours
     edges: tuple                  # sorted tuple of (label, label) pairs
 
     @property
@@ -146,9 +151,6 @@ class CompactifiedDiagram:
     def node_count(self) -> int:
         return self.internal_node_count + 2
 
-    def edges_at(self, label: str) -> list[tuple[str, str]]:
-        return [e for e in self.edges if label in e]
-
     def relink_arm_lengths(self, keep: str) -> list[int]:
         """Cut the two arcs other than `keep` loose at the antipodal
         pole; return the arm lengths of the resulting star at the
@@ -161,25 +163,11 @@ class CompactifiedDiagram:
             if key not in edges:
                 raise ContractViolation(f"expected edge {key} missing")
             edges.discard(key)
-        # walk arms from the identity pole
         adj: dict[str, list[str]] = {}
         for a, b in edges:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-        arms = []
-        root = self.poles[0]
-        for nb in adj.get(root, []):
-            length, prev, cur = 1, root, nb
-            while True:
-                nxt = [x for x in adj.get(cur, []) if x != prev]
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise ContractViolation("relinked graph is not a star of paths")
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        return sorted(arms)
+        return _arm_lengths(adj, self.poles[0])
 
     def to_json(self) -> dict:
         return {
@@ -229,12 +217,7 @@ def compactified_diagram(G: FiniteGroup) -> CompactifiedDiagram:
     if {len(a) for g, a in arcs.items()} and \
             sorted(len(a) for a in arcs.values()) != sorted((l - 1, m - 1, n - 1)):
         raise ContractViolation("arc sizes disagree with the presentation")
-    adjacency: dict[str, list[str]] = {}
-    for a, b in sorted(edges):
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
     return CompactifiedDiagram(G.name, ("E", "-E"), arcs, reflection,
-                               {k: tuple(sorted(v)) for k, v in adjacency.items()},
                                tuple(sorted(edges)))
 
 

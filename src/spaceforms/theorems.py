@@ -140,10 +140,6 @@ class MatrixComparison:
     reference_matrix: list
     rows: list = field(default_factory=list)
 
-    @property
-    def all_exact(self) -> bool:
-        return all(r.status == "exact" for r in self.rows)
-
     def statuses(self) -> dict:
         return {r.name: r.status for r in self.rows}
 
