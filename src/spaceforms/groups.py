@@ -683,7 +683,8 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "group":
+    if (not isinstance(doc, dict) or doc.get("schema") != SCHEMA
+            or doc.get("kind") != "group"):
         raise ValueError("not a group document")
     elements = [Quat(*(_cyclo_from_json(c) for c in e)) for e in doc["elements"]]
     mult = doc["mult_table"]

@@ -141,6 +141,10 @@ def test_cache_refuses_a_file_holding_another_group(capsys, tmp_path):
     (tmp_path / "2I.json").write_text(json.dumps(doc))
     code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
     assert code == 2 and out == "" and "presentation (2, 3, 3)" in err
+    # a JSON document that is not an object at all
+    (tmp_path / "2I.json").write_text("[1]")
+    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
+    assert code == 2 and out == "" and "not a group document" in err
 
 
 def test_cache_naming_a_regular_file_is_a_usage_error(capsys, tmp_path):
