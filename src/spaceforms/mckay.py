@@ -46,6 +46,7 @@ class McKayGraph:
                    for i in range(k))
 
     def arm_lengths(self) -> list[int] | None:
+        """Arm lengths from the unique trivalent node (E-type shapes)."""
         return _trivalent_arms(self.adjacency)
 
     def to_json(self) -> dict:
@@ -76,8 +77,7 @@ def _arm_lengths(neighbours: dict, root) -> list[int]:
 
 
 def _trivalent_arms(adjacency) -> list[int] | None:
-    """Arm lengths from the unique trivalent node (E-type shapes), or
-    None without exactly one."""
+    """Arm lengths from the trivalent node, None unless there is exactly one."""
     k = len(adjacency)
     tri = [i for i in range(k) if sum(adjacency[i]) == 3]
     if len(tri) != 1:
