@@ -12,13 +12,15 @@ as a sum of roots of unity.  Nothing is trusted until the orthogonality
 relations are verified in exact arithmetic.
 
 Prime-mark labels (3 vs 3', 2s' vs 2s'', ...) are not intrinsic; they
-are fixed by requiring the reference induction tables to hold verbatim,
-with a lexicographic tie-break among consistent assignments.
+are fixed by requiring the reference induction tables to hold verbatim.
+Each character takes the one name of its dimension and spinor flag
+whose reference rows list its multiplicities <Res chi, omega^r>; a
+character that fits no name or several, or two characters that fit
+the same name, stop the derivation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -502,85 +504,47 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
 
 
 def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
-    """Attach canonical names so the reference induction tables hold
-    verbatim; tie-break by lexicographic row rendering."""
+    """Name each character by lookup in the reference induction tables.
+
+    A character's reciprocity vector is <Res chi, omega^r> over every
+    reference row (gen, r).  Of the names of its dimension and spinor
+    flag, exactly one must list that vector in the reference rows, and
+    no two characters may take the same name."""
     if not G.presentation:
         raise TableDerivationError(
             f"{G.name} has no presentation triple; adopt R/S/T generators first")
     reference = REFERENCE_INDUCTIONS[GROUP_NAMES[G.presentation[2]][0]]
     e_class = G.class_of[G.identity_index]
-    dims = [c.value_on_class(e_class).as_integer() for c in chars]
-    spinors = []
-    for c in chars:
-        neg = c.value_on_element(G.neg_identity_index)
-        d = c.value_on_class(e_class)
-        if neg == d:
-            spinors.append(False)
-        elif neg == -d:
-            spinors.append(True)
-        else:
-            raise TableDerivationError("character is neither spinor nor non-spinor")
-    trivial_at = next(i for i, c in enumerate(chars)
-                      if all(v == ONE for v in c.values))
+    # (dimension, spinor flag); CharacterTable._verify_exact checks both
+    kinds = [(c.value_on_class(e_class).as_integer(),
+              c.value_on_element(G.neg_identity_index) != c.value_on_class(e_class))
+             for c in chars]
 
-    # multiplicities of each candidate character in each reference row
-    mult: dict[tuple[str, int, int], int] = {}
+    vectors = [[] for _ in chars]
     for gen, rows in reference.items():
         H = G.cyclic_subgroup(gen)
-        for ci, c in enumerate(chars):
+        for vec, c in zip(vectors, chars):
             sub = restrict(c, H)
-            for r in range(len(rows)):
-                mult[(gen, r, ci)] = inner_product_int(sub, cyclic_character(H, r))
+            vec += [inner_product_int(sub, cyclic_character(H, r))
+                    for r in range(len(rows))]
 
-    families: dict[tuple[int, bool], list[int]] = {}
-    for ci, (d, s) in enumerate(zip(dims, spinors)):
-        families.setdefault((d, s), []).append(ci)
+    def listed(label):      # the multiplicities the reference rows give it
+        return [row.get(label.name, 0) for rows in reference.values() for row in rows]
 
-    family_keys = sorted(families)
-    options: list[list[dict[int, int]]] = []
-    for key in family_keys:
-        members = families[key]
-        perms = []
-        for perm in itertools.permutations(range(len(members))):
-            if trivial_at in members:
-                # the trivial character is always the unprimed "1"
-                if perm[members.index(trivial_at)] != 0:
-                    continue
-            perms.append({m: p for m, p in zip(members, perm)})
-        options.append(perms)
-
-    valid: list[tuple[str, dict[int, IrrepLabel]]] = []
-    for choice in itertools.product(*options):
-        naming: dict[int, IrrepLabel] = {}
-        for assignment in choice:
-            for ci, primes in assignment.items():
-                naming[ci] = IrrepLabel(dims[ci], spinors[ci], primes)
-        good = True
-        for gen, rows in reference.items():
-            for r, expected in enumerate(rows):
-                for ci in range(len(chars)):
-                    if mult[(gen, r, ci)] != expected.get(naming[ci].name, 0):
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
-                break
-        if good:
-            render = "|".join(
-                f"{gen}:{r}:" + "+".join(
-                    f"{mult[(gen, r, ci)]}x{naming[ci].name}"
-                    for ci in sorted(range(len(chars)),
-                                     key=lambda c: naming[c].name)
-                    if mult[(gen, r, ci)])
-                for gen, rows in sorted(reference.items())
-                for r in range(len(rows)))
-            valid.append((render, naming))
-    if not valid:
-        raise TableDerivationError(
-            f"no prime-mark assignment reproduces the reference tables for {G.name}")
-    naming = min(valid)[1]
-    irreps = [Irrep(naming[ci], chars[ci]) for ci in range(len(chars))]
+    irreps, taken = [], set()
+    for c, (dim, spinor), vec in zip(chars, kinds, vectors):
+        names = [IrrepLabel(dim, spinor, p) for p in range(kinds.count((dim, spinor)))]
+        fits = [label for label in names if listed(label) == vec]
+        if len(fits) != 1:
+            raise TableDerivationError(
+                f"{G.name}: {len(fits)} names fit the reference rows of a "
+                f"{dim}-dimensional {'spinor' if spinor else 'non-spinor'} "
+                "character, not one")
+        if fits[0] in taken:
+            raise TableDerivationError(
+                f"{G.name}: two {dim}-dimensional characters take the name {fits[0]}")
+        taken.add(fits[0])
+        irreps.append(Irrep(fits[0], c))
     irreps.sort(key=lambda ir: (ir.label.dimension, ir.label.spinor,
                                 ir.label.primes))
     return irreps

@@ -187,6 +187,47 @@ def test_labels_are_deterministic(g2t):
         [ir.name for ir in character_table(g2t)]
 
 
+def _labels_with_reference(monkeypatch, G, reference):
+    """character_table of a fresh copy of G named against `reference`."""
+    from spaceforms import characters
+    from spaceforms.groups import group_from_json, group_to_json
+    monkeypatch.setitem(characters.REFERENCE_INDUCTIONS, G.name, reference)
+    return character_table(group_from_json(group_to_json(G)))
+
+
+def test_labels_refuse_a_reference_that_fits_two_namings(monkeypatch, g2t):
+    # without the T column, 1' and 1'' (and the three 2s) look alike
+    from spaceforms.characters import REFERENCE_INDUCTIONS
+    reference = {gen: rows for gen, rows in REFERENCE_INDUCTIONS["2T"].items()
+                 if gen != "T"}
+    with pytest.raises(TableDerivationError, match=r"2T: [2-9] names fit"):
+        _labels_with_reference(monkeypatch, g2t, reference)
+
+
+def test_labels_refuse_a_reference_row_no_naming_satisfies(monkeypatch, g2t):
+    from spaceforms.characters import REFERENCE_INDUCTIONS
+    reference = dict(REFERENCE_INDUCTIONS["2T"])
+    reference["R"] = [{"1": 1, "1'": 1, "1''": 1, "3": 2}] + reference["R"][1:]
+    with pytest.raises(TableDerivationError, match=r"2T: 0 names fit .* 3-dim"):
+        _labels_with_reference(monkeypatch, g2t, reference)
+
+
+def test_labels_refuse_one_name_for_two_characters(monkeypatch, g2t):
+    # T and S rows 0 and 1 tell the three 2s apart but not 1' from 1'';
+    # with 1'' taken out of every row, both characters fit only 1'
+    from spaceforms.characters import REFERENCE_INDUCTIONS
+    ref = REFERENCE_INDUCTIONS["2T"]
+    reference = {
+        "T": ref["T"][:2],
+        "S": [{"1": 1, "3": 1}, {"2s": 1, "2s'": 1}],
+        "R": [{"1": 1, "1'": 1, "3": 1}] + ref["R"][1:],
+        "RST": [{"1": 1, "1'": 1, "3": 3}] + ref["RST"][1:],
+    }
+    with pytest.raises(TableDerivationError,
+                       match=r"2T: two 1-dimensional characters take the name 1'$"):
+        _labels_with_reference(monkeypatch, g2t, reference)
+
+
 def test_alternate_triple_same_labeled_tables():
     from spaceforms.induction import induction_table
     from spaceforms.spectra import degeneracy_series
