@@ -341,11 +341,11 @@ def from_rational(q) -> CycloNum:
     return CycloNum.from_rational(q)
 
 
-def format_value(a: CycloNum, digits: int = 4) -> str:
-    """Compact display: exact for rationals, rounded complex otherwise."""
+def format_value(a: CycloNum) -> str:
+    """Compact display: exact for rationals, complex to 4 places otherwise."""
     if a.is_rational():
         return str(a.as_rational())
     z = a.to_complex()
     if abs(z.imag) < 1e-12:
-        return f"{z.real:.{digits}f}"
-    return f"{z.real:.{digits}f}{z.imag:+.{digits}f}i"
+        return f"{z.real:.4f}"
+    return f"{z.real:.4f}{z.imag:+.4f}i"

@@ -490,13 +490,12 @@ def polyhedral_n(name: str) -> int | None:
     return next((n for n, names in GROUP_NAMES.items() if name in names), None)
 
 
-def build_binary_polyhedral(l: int = 2, m: int = 3, n: int = 3,
-                            variant: int = 0) -> FiniteGroup:
-    """Enumerate <l,m,n> from quaternion generators and verify the
+def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
+    """Enumerate <2,3,n> from quaternion generators and verify the
     presentation relations exactly."""
-    if (l, m) != (2, 3) or n not in GROUP_NAMES:
-        raise ValueError(f"unsupported presentation <{l},{m},{n}>")
-    key = (l, m, n, variant)
+    if n not in GROUP_NAMES:
+        raise ValueError(f"unsupported presentation <2,3,{n}>")
+    key = (n, variant)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
     R, S, T = generator_triple(n, variant)
@@ -509,25 +508,25 @@ def build_binary_polyhedral(l: int = 2, m: int = 3, n: int = 3,
         return out
 
     rst = R * S * T
-    for label, val in (("R^l", qpow(R, l)), ("S^m", qpow(S, m)),
+    for label, val in (("R^2", qpow(R, 2)), ("S^3", qpow(S, 3)),
                        ("T^n", qpow(T, n))):
         if val != rst:
             raise GroupConstructionError(
-                f"relation {label} = RST fails for <{l},{m},{n}>")
+                f"relation {label} = RST fails for <2,3,{n}>")
     if rst != nege or rst * rst != QUAT_ONE:
         raise GroupConstructionError("(RST)^2 = E fails")
 
     name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
     G = FiniteGroup.from_generators(name, {"R": R, "S": S, "T": T},
-                                    presentation=(l, m, n))
+                                    presentation=(2, 3, n))
     G.generators["RST"] = G.index[rst]
-    # |<l,m,n>| = 4 / (1/l + 1/m + 1/n - 1)
-    expected_order = 4 * l * m * n // (m * n + l * n + l * m - l * m * n)
+    # |<2,3,n>| = 4 / (1/2 + 1/3 + 1/n - 1)
+    expected_order = 24 * n // (6 - n)
     if len(G) != expected_order:
         raise GroupConstructionError(
-            f"closure of <{l},{m},{n}> has order {len(G)}, "
+            f"closure of <2,3,{n}> has order {len(G)}, "
             f"expected {expected_order}")
-    for gname, gorder in (("R", 2 * l), ("S", 2 * m), ("T", 2 * n)):
+    for gname, gorder in (("R", 4), ("S", 6), ("T", 2 * n)):
         if G.orders[G.generators[gname]] != gorder:
             raise GroupConstructionError(f"generator {gname} has wrong order")
     for i, e in enumerate(G.elements):
@@ -545,7 +544,7 @@ def binary_polyhedral(name: str) -> FiniteGroup:
     n = polyhedral_n(name)
     if n is None:
         raise ValueError(f"unknown group name {name!r}")
-    return build_binary_polyhedral(2, 3, n)
+    return build_binary_polyhedral(n)
 
 
 def cyclic_group(q: int) -> FiniteGroup:

@@ -156,9 +156,10 @@ def independent_rows(rows: list[InducedDecomposition]) -> list[int]:
     return out
 
 
-def render_all_columns(G: FiniteGroup, gens=("T", "S", "R")) -> str:
+def render_all_columns(G: FiniteGroup) -> str:
     """Aligned text table: one row per twist r, one column per cyclic
-    generator, entries ceasing once a column starts repeating."""
+    generator T, S, R, entries ceasing once a column starts repeating."""
+    gens = ("T", "S", "R")
     columns = {gen: induction_table(G, gen) for gen in gens}
     keep = {gen: set(independent_rows(rows)) for gen, rows in columns.items()}
     height = max(max(keep[gen]) for gen in gens) + 1
@@ -270,12 +271,9 @@ class MonomialRep:
             raise ValueError("inducing map does not send E to the identity")
 
     @staticmethod
-    def from_cyclic_twist(G: FiniteGroup, H: SubgroupHandle | str,
+    def from_cyclic_twist(G: FiniteGroup, H: SubgroupHandle,
                           r: int) -> "MonomialRep":
-        """Induced from omega^r on a cyclic subgroup, given as a handle
-        or by the name of its generator."""
-        if isinstance(H, str):
-            H = G.cyclic_subgroup(H)
+        """Induced from omega^r on the cyclic subgroup H."""
         chi = cyclic_character(H, r)
         blocks = {p: ((chi.value_on_class(pos),),)
                   for pos, p in enumerate(H.group.to_parent)}

@@ -78,8 +78,6 @@ class TwistSpec:
     def coerce(target, twist) -> "TwistSpec":
         if isinstance(twist, TwistSpec):
             return twist
-        if twist is None:
-            return TwistSpec.trivial(target)
         if isinstance(twist, int):
             return TwistSpec.cyclic(target, twist)
         if isinstance(twist, str):
@@ -87,13 +85,6 @@ class TwistSpec:
         if isinstance(twist, dict):
             return TwistSpec(target, combo=tuple(sorted(twist.items())))
         raise TypeError(f"cannot interpret {twist!r} as a twist")
-
-    @staticmethod
-    def trivial(target) -> "TwistSpec":
-        group = target.group if isinstance(target, SubgroupHandle) else target
-        if group.num_classes == len(group):
-            return TwistSpec(target, cyclic_twist=0)
-        return TwistSpec(target, combo=(("1", 1),))
 
     @staticmethod
     def cyclic(target, r: int) -> "TwistSpec":
@@ -131,9 +122,7 @@ class TwistSpec:
 
     def describe(self) -> str:
         if self.cyclic_twist is not None:
-            host = (self.target.name if isinstance(self.target, SubgroupHandle)
-                    else self.group.name)
-            return f"w^{self.cyclic_twist} on {host}"
+            return f"w^{self.cyclic_twist} on {self.group.name}"
         body = " + ".join(name if c == 1 else f"{c}x{name}"
                           for name, c in self.combo if c)
         return f"{body} on {self.group.name}"

@@ -5,17 +5,17 @@ from spaceforms import groups
 
 @pytest.fixture(scope="session")
 def g2t():
-    return groups.build_binary_polyhedral(2, 3, 3)
+    return groups.build_binary_polyhedral(3)
 
 
 @pytest.fixture(scope="session")
 def g2o():
-    return groups.build_binary_polyhedral(2, 3, 4)
+    return groups.build_binary_polyhedral(4)
 
 
 @pytest.fixture(scope="session")
 def g2i():
-    return groups.build_binary_polyhedral(2, 3, 5)
+    return groups.build_binary_polyhedral(5)
 
 
 @pytest.fixture(scope="session")

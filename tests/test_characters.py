@@ -232,8 +232,8 @@ def test_alternate_triple_same_labeled_tables():
     from spaceforms.induction import induction_table
     from spaceforms.spectra import degeneracy_series
     for n in (3, 4, 5):
-        A = groups.build_binary_polyhedral(2, 3, n, variant=0)
-        B = groups.build_binary_polyhedral(2, 3, n, variant=1)
+        A = groups.build_binary_polyhedral(n, variant=0)
+        B = groups.build_binary_polyhedral(n, variant=1)
         ta, tb = character_table(A), character_table(B)
         assert [ir.name for ir in ta] == [ir.name for ir in tb]
         # labeled induction tables and per-irrep degeneracies must not

@@ -192,7 +192,7 @@ def test_presentation_triple_search(g2o):
 
 def test_bad_presentation_rejected():
     with pytest.raises(ValueError):
-        build_binary_polyhedral(2, 3, 6)
+        build_binary_polyhedral(6)
     with pytest.raises(GroupConstructionError):
         # non-unit generator constants must be caught immediately
         groups.FiniteGroup.from_generators("bad", {"X": Quat(
@@ -227,8 +227,8 @@ def test_serialization_roundtrip(g2t, tmp_path):
 def test_alternate_triple_gives_same_structure():
     # downstream data must not depend on which valid triple was chosen
     for n in (3, 4, 5):
-        A = build_binary_polyhedral(2, 3, n, variant=0)
-        B = build_binary_polyhedral(2, 3, n, variant=1)
+        A = build_binary_polyhedral(n, variant=0)
+        B = build_binary_polyhedral(n, variant=1)
         assert len(A) == len(B)
         assert A.num_classes == B.num_classes
         assert sorted(A.class_sizes) == sorted(B.class_sizes)
