@@ -41,6 +41,8 @@ def resolve_group(selector: str, cache: str | None = None) -> FiniteGroup:
                 groups_mod.save_group(G, path)
         except OSError as exc:
             raise UsageError(f"cache {cache!r}: {exc}") from None
+        except (ValueError, LookupError, ContractViolation) as exc:
+            raise UsageError(f"cache file {path!r}: {exc}") from None
         if G.name != name or G.presentation != (2, 3, n):
             raise UsageError(f"cache file {path!r} holds {G.name} with "
                              f"presentation {G.presentation}, not {name}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 
-from .exactnum import CONDUCTOR, CycloNum, ONE, ZERO, root_of_unity
+from .exactnum import CONDUCTOR, DEGREE, CycloNum, ONE, ZERO, root_of_unity
 
 
 class GroupConstructionError(Exception):
@@ -660,8 +660,19 @@ def _cyclo_to_json(c: CycloNum):
     return {"num": list(c.num), "den": c.den}
 
 
-def _cyclo_from_json(d) -> CycloNum:
-    return CycloNum(tuple(d["num"]), d["den"])
+def _int_list(v, length=None) -> bool:
+    return (isinstance(v, list) and all(type(x) is int for x in v)
+            and length in (None, len(v)))
+
+
+def _cyclo_json_ok(d) -> bool:
+    return (isinstance(d, dict) and _int_list(d.get("num"), DEGREE)
+            and type(d.get("den")) is int and d["den"] > 0)
+
+
+def _require(ok: bool, field: str, want: str) -> None:
+    if not ok:
+        raise ValueError(f"field {field!r} is not {want}")
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -685,11 +696,25 @@ def group_from_json(doc: dict) -> FiniteGroup:
     if (not isinstance(doc, dict) or doc.get("schema") != SCHEMA
             or doc.get("kind") != "group"):
         raise ValueError("not a group document")
-    elements = [Quat(*(_cyclo_from_json(c) for c in e)) for e in doc["elements"]]
-    mult = doc["mult_table"]
-    _check_cached_table(mult, len(elements))
+    for field in ("name", "elements", "mult_table", "generators"):
+        _require(field in doc, field, "present")
+    elements, mult, gens = doc["elements"], doc["mult_table"], doc["generators"]
     pres = doc.get("presentation")
-    G = FiniteGroup._make(doc["name"], elements, mult, doc["generators"],
+    _require(isinstance(elements, list) and elements
+             and all(isinstance(e, list) and len(e) == 4
+                     and all(map(_cyclo_json_ok, e)) for e in elements),
+             "elements", f"a non-empty list of quaternions with 4 coordinates "
+             f"{{num: {DEGREE} ints, den: positive int}}")
+    _require(isinstance(mult, list) and all(map(_int_list, mult)),
+             "mult_table", "a list of int lists")
+    _require(isinstance(gens, dict) and all(
+        type(i) is int and 0 <= i < len(elements) for i in gens.values()),
+             "generators", "a map from names to element indices")
+    _require(pres is None or _int_list(pres, 3), "presentation", "null or 3 ints")
+    elements = [Quat(*(CycloNum(tuple(c["num"]), c["den"]) for c in e))
+                for e in elements]
+    _check_cached_table(mult, len(elements))
+    G = FiniteGroup._make(doc["name"], elements, mult, gens,
                           presentation=tuple(pres) if pres else None)
     if any(G.mult[g][G.inv[g]] != 0 for g in range(len(G))):
         raise ValueError("cached multiplication table disagrees with the "

@@ -147,6 +147,21 @@ def test_cache_refuses_a_file_holding_another_group(capsys, tmp_path):
     assert code == 2 and out == "" and "not a group document" in err
 
 
+def test_malformed_cache_documents_are_usage_errors_naming_the_file(capsys, tmp_path):
+    assert run(capsys, "--cache", str(tmp_path), "group", "2T", "order")[0] == 0
+    path = tmp_path / "2T.json"
+    good = json.loads(path.read_text())
+    one_coordinate = [good["elements"][0]] + [e[:1] for e in good["elements"][1:]]
+    for doc in ({"schema": "spaceforms/1", "kind": "group", "name": "2T"},
+                {**good, "elements": [], "mult_table": []},
+                {**good, "elements": one_coordinate},
+                {**good, "elements": "x"}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2T", "order")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+
+
 def test_cache_naming_a_regular_file_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "not-a-directory"
     path.write_text("")

@@ -262,6 +262,24 @@ def test_cached_table_with_swapped_entries_is_rejected(g2t, tmp_path):
         groups.load_group(str(path))
 
 
+def test_group_document_shape_errors_name_the_field(g2t):
+    good = group_to_json(g2t)
+    coordinate = dict(good["elements"][1][0], den=-1)
+    for field, value in (("elements", [[coordinate] * 4] + good["elements"][1:]),
+                         ("mult_table", [1] * len(g2t)),
+                         ("mult_table", [["0"]]),
+                         ("generators", {"R": len(g2t)}),
+                         ("generators", [0]),
+                         ("presentation", 3)):
+        with pytest.raises(ValueError, match=f"^field '{field}' is not "):
+            group_from_json({**good, field: value})
+    for field in ("name", "generators"):
+        doc = dict(good)
+        del doc[field]
+        with pytest.raises(ValueError, match=f"^field '{field}' is not present"):
+            group_from_json(doc)
+
+
 def test_cached_table_validation_checks_identity_and_inverses(g2t):
     # relabelling two elements in the table only keeps it a group table
     # (a valid Latin square), but it no longer matches the quaternions,
