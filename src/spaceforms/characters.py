@@ -172,7 +172,7 @@ def restrict(chi: ClassFunction, H: SubgroupHandle) -> ClassFunction:
 # -- irrep labels and the table container ------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IrrepLabel:
     dimension: int
     spinor: bool
@@ -520,19 +520,17 @@ def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
               c.value_on_element(G.neg_identity_index) != c.value_on_class(e_class))
              for c in chars]
 
-    vectors = [[] for _ in chars]
-    for gen, rows in reference.items():
-        H = G.cyclic_subgroup(gen)
-        for vec, c in zip(vectors, chars):
-            sub = restrict(c, H)
-            vec += [inner_product_int(sub, cyclic_character(H, r))
-                    for r in range(len(rows))]
+    columns = [(G.cyclic_subgroup(gen), len(rows)) for gen, rows in reference.items()]
 
     def listed(label):      # the multiplicities the reference rows give it
         return [row.get(label.name, 0) for rows in reference.values() for row in rows]
 
     irreps, taken = [], set()
-    for c, (dim, spinor), vec in zip(chars, kinds, vectors):
+    for c, (dim, spinor) in zip(chars, kinds):
+        vec = []            # <Res c, omega^r> over every reference row (gen, r)
+        for H, count in columns:
+            sub = restrict(c, H)
+            vec += [inner_product_int(sub, cyclic_character(H, r)) for r in range(count)]
         names = [IrrepLabel(dim, spinor, p) for p in range(kinds.count((dim, spinor)))]
         fits = [label for label in names if listed(label) == vec]
         if len(fits) != 1:
@@ -545,8 +543,7 @@ def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
                 f"{G.name}: two {dim}-dimensional characters take the name {fits[0]}")
         taken.add(fits[0])
         irreps.append(Irrep(fits[0], c))
-    irreps.sort(key=lambda ir: (ir.label.dimension, ir.label.spinor,
-                                ir.label.primes))
+    irreps.sort(key=lambda ir: ir.label)      # dimension, spinor flag, primes
     return irreps
 
 

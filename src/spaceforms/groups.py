@@ -656,18 +656,9 @@ def verify_generator_conjugations(G: FiniteGroup) -> list[tuple[str, bool, str]]
 SCHEMA = "spaceforms/1"
 
 
-def _cyclo_to_json(c: CycloNum):
-    return {"num": list(c.num), "den": c.den}
-
-
-def _int_list(v, length=None) -> bool:
+def _ints(v, length=None) -> bool:
     return (isinstance(v, list) and all(type(x) is int for x in v)
             and length in (None, len(v)))
-
-
-def _cyclo_json_ok(d) -> bool:
-    return (isinstance(d, dict) and _int_list(d.get("num"), DEGREE)
-            and type(d.get("den")) is int and d["den"] > 0)
 
 
 def _require(ok: bool, field: str, want: str) -> None:
@@ -683,7 +674,7 @@ def group_to_json(G: FiniteGroup) -> dict:
         "kind": "group",
         "name": G.name,
         "presentation": list(G.presentation) if G.presentation else None,
-        "elements": [[_cyclo_to_json(c) for c in (e.w, e.x, e.y, e.z)]
+        "elements": [[{"num": list(c.num), "den": c.den} for c in (e.w, e.x, e.y, e.z)]
                      for e in G.elements],
         "mult_table": [list(row) for row in G.mult],
         "generators": dict(G.generators),
@@ -701,39 +692,34 @@ def group_from_json(doc: dict) -> FiniteGroup:
     elements, mult, gens = doc["elements"], doc["mult_table"], doc["generators"]
     pres = doc.get("presentation")
     _require(isinstance(elements, list) and elements
-             and all(isinstance(e, list) and len(e) == 4
-                     and all(map(_cyclo_json_ok, e)) for e in elements),
-             "elements", f"a non-empty list of quaternions with 4 coordinates "
+             and all(isinstance(e, list) and len(e) == 4 for e in elements)
+             and all(isinstance(c, dict) and _ints(c.get("num"), DEGREE)
+                     and type(c.get("den")) is int and c["den"] > 0
+                     for e in elements for c in e),
+             "elements", "a non-empty list of quaternions with 4 coordinates "
              f"{{num: {DEGREE} ints, den: positive int}}")
-    _require(isinstance(mult, list) and all(map(_int_list, mult)),
+    perm = list(range(len(elements)))
+    _require(isinstance(mult, list) and all(map(_ints, mult)),
              "mult_table", "a list of int lists")
+    # element 0 is the identity and every row and column is a permutation
+    _require(len(mult) == len(perm) and mult[0] == perm
+             and [row[0] for row in mult] == perm,
+             "mult_table", "a table whose element 0 is the identity")
+    for what, lines in (("row", mult), ("column", zip(*mult))):
+        _require(all(sorted(line) == perm for line in lines),
+                 "mult_table", f"a table whose every {what} is a permutation")
     _require(isinstance(gens, dict) and all(
-        type(i) is int and 0 <= i < len(elements) for i in gens.values()),
+        type(i) is int and 0 <= i < len(perm) for i in gens.values()),
              "generators", "a map from names to element indices")
-    _require(pres is None or _int_list(pres, 3), "presentation", "null or 3 ints")
+    _require(pres is None or _ints(pres, 3), "presentation", "null or 3 ints")
     elements = [Quat(*(CycloNum(tuple(c["num"]), c["den"]) for c in e))
                 for e in elements]
-    _check_cached_table(mult, len(elements))
     G = FiniteGroup._make(doc["name"], elements, mult, gens,
                           presentation=tuple(pres) if pres else None)
     if any(G.mult[g][G.inv[g]] != 0 for g in range(len(G))):
         raise ValueError("cached multiplication table disagrees with the "
                          "inverses of the stored elements")
     return G
-
-
-def _check_cached_table(mult, k: int) -> None:
-    """Element 0 is the identity and every row and column is a
-    permutation of 0..k-1 (a Latin square)."""
-    perm = list(range(k))
-    if (len(mult) != k or list(mult[0]) != perm
-            or [row[0] for row in mult] != perm):
-        raise ValueError(
-            "cached multiplication table: element 0 is not the identity")
-    for what, lines in (("row", mult), ("column", zip(*mult))):
-        if any(sorted(line) != perm for line in lines):
-            raise ValueError(
-                f"cached multiplication table {what} is not a permutation")
 
 
 def save_group(G: FiniteGroup, path: str) -> None:
