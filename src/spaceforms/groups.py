@@ -701,7 +701,6 @@ def group_from_json(doc: dict) -> FiniteGroup:
     perm = list(range(len(elements)))
     _require(isinstance(mult, list) and all(map(_ints, mult)),
              "mult_table", "a list of int lists")
-    # element 0 is the identity and every row and column is a permutation
     _require(len(mult) == len(perm) and mult[0] == perm
              and [row[0] for row in mult] == perm,
              "mult_table", "a table whose element 0 is the identity")
