@@ -68,7 +68,8 @@ def summarise(runs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    p.add_argument("--pr", type=int, required=True,
+                   help="number in the output name BENCH_<pr>.json")
     p.add_argument("--out-dir", default=".", help="where to write BENCH_<pr>.json")
     p.add_argument("checkouts", nargs="+", metavar="[LABEL=]CHECKOUT")
     args = p.parse_args(argv)
