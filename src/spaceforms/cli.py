@@ -34,15 +34,16 @@ def resolve_group(selector: str, cache: str | None = None) -> FiniteGroup:
         path = os.path.join(cache, f"{name}.json")
         try:
             if os.path.exists(path):
-                G = groups_mod.load_group(path)
+                try:
+                    G = groups_mod.load_group(path)
+                except (ValueError, LookupError, ContractViolation) as exc:
+                    raise UsageError(f"cache file {path!r}: {exc}") from None
             else:
                 G = groups_mod.binary_polyhedral(name)
                 os.makedirs(cache, exist_ok=True)
                 groups_mod.save_group(G, path)
         except OSError as exc:
             raise UsageError(f"cache {cache!r}: {exc}") from None
-        except (ValueError, LookupError, ContractViolation) as exc:
-            raise UsageError(f"cache file {path!r}: {exc}") from None
         if G.name != name or G.presentation != (2, 3, n):
             raise UsageError(f"cache file {path!r} holds {G.name} with "
                              f"presentation {G.presentation}, not {name}")

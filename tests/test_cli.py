@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
+from spaceforms import groups
 from spaceforms.cli import main
+from spaceforms.groups import ContractViolation
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -160,6 +162,20 @@ def test_malformed_cache_documents_are_usage_errors_naming_the_file(capsys, tmp_
         code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2T", "order")
         assert code == 2 and out == ""
         assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+
+
+def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path,
+                                                               monkeypatch):
+    # only reading a cache file is checked as outside input; a fault while
+    # building the group to store keeps its own exit code
+    def broken(name):
+        raise ContractViolation(f"{name} identity fails")
+
+    monkeypatch.setattr(groups, "binary_polyhedral", broken)
+    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2T", "order")
+    assert code == 3 and out == ""
+    assert err == "internal contract violation: 2T identity fails\n"
+    assert not (tmp_path / "2T.json").exists()
 
 
 def test_cache_naming_a_regular_file_is_a_usage_error(capsys, tmp_path):
