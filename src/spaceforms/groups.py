@@ -16,6 +16,7 @@ results under the choice can be tested.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .exactnum import CONDUCTOR, DEGREE, CycloNum, ONE, ZERO, root_of_unity
@@ -499,22 +500,14 @@ def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
     R, S, T = generator_triple(n, variant)
-    nege = -QUAT_ONE
-
-    def qpow(q, k):
-        out = QUAT_ONE
-        for _ in range(k):
-            out = out * q
-        return out
-
     rst = R * S * T
-    for label, val in (("R^2", qpow(R, 2)), ("S^3", qpow(S, 3)),
-                       ("T^n", qpow(T, n))):
-        if val != rst:
+    for label, q, k in (("R^2", R, 2), ("S^3", S, 3), ("T^n", T, n)):
+        if math.prod([q] * k, start=QUAT_ONE) != rst:
             raise GroupConstructionError(
                 f"relation {label} = RST fails for <2,3,{n}>")
-    if rst != nege or rst * rst != QUAT_ONE:
-        raise GroupConstructionError("(RST)^2 = E fails")
+    # RST = -E is the central element, so (RST)^2 = E
+    if rst != -QUAT_ONE:
+        raise GroupConstructionError("RST = -E fails")
 
     name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
     G = FiniteGroup.from_generators(name, {"R": R, "S": S, "T": T},
@@ -657,7 +650,7 @@ SCHEMA = "spaceforms/1"
 
 
 def _ints(v, length=None) -> bool:
-    return (isinstance(v, list) and all(type(x) is int for x in v)
+    return (isinstance(v, list) and set(map(type, v)) <= {int}
             and length in (None, len(v)))
 
 
@@ -699,26 +692,29 @@ def group_from_json(doc: dict) -> FiniteGroup:
              "elements", "a non-empty list of quaternions with 4 coordinates "
              f"{{num: {DEGREE} ints, den: positive int}}")
     perm = list(range(len(elements)))
-    _require(isinstance(mult, list) and all(map(_ints, mult)),
-             "mult_table", "a list of int lists")
-    _require(len(mult) == len(perm) and mult[0] == perm
-             and [row[0] for row in mult] == perm,
+    _require(isinstance(mult, list) and len(mult) == len(perm)
+             and all(_ints(row, len(perm)) for row in mult),
+             "mult_table", f"a {len(perm)} x {len(perm)} table of ints")
+    _require(mult[0] == perm and [row[0] for row in mult] == perm,
              "mult_table", "a table whose element 0 is the identity")
     for what, lines in (("row", mult), ("column", zip(*mult))):
         _require(all(sorted(line) == perm for line in lines),
                  "mult_table", f"a table whose every {what} is a permutation")
     _require(isinstance(gens, dict) and all(
-        type(i) is int and 0 <= i < len(perm) for i in gens.values()),
-             "generators", "a map from names to element indices")
+        type(i) is int and 0 <= i < len(perm) for i in gens.values())
+             and (pres is None or {"R", "S", "T", "RST"} <= gens.keys()),
+             "generators", "a map from names to element indices, "
+             "with R, S, T and RST when there is a presentation")
     _require(pres is None or _ints(pres, 3), "presentation", "null or 3 ints")
     elements = [Quat(*(CycloNum(tuple(c["num"]), c["den"]) for c in e))
                 for e in elements]
-    G = FiniteGroup._make(doc["name"], elements, mult, gens,
-                          presentation=tuple(pres) if pres else None)
-    if any(G.mult[g][G.inv[g]] != 0 for g in range(len(G))):
-        raise ValueError("cached multiplication table disagrees with the "
-                         "inverses of the stored elements")
-    return G
+    index = {e: i for i, e in enumerate(elements)}
+    _require(elements[0] == QUAT_ONE and all(
+        mult[g][index.get(e.conjugate(), 0)] == 0 for g, e in enumerate(elements)),
+             "mult_table", "a table in which element 0 is the quaternion 1 and "
+             "each element times its conjugate (its inverse) is element 0")
+    return FiniteGroup._make(doc["name"], elements, mult, gens,
+                             presentation=tuple(pres) if pres else None)
 
 
 def save_group(G: FiniteGroup, path: str) -> None:

@@ -268,6 +268,9 @@ def test_group_document_shape_errors_name_the_field(g2t):
     for field, value in (("elements", [[coordinate] * 4] + good["elements"][1:]),
                          ("mult_table", [1] * len(g2t)),
                          ("mult_table", [["0"]]),
+                         ("mult_table", good["mult_table"][:5] + [[]]
+                          + good["mult_table"][6:]),
+                         ("generators", {"R": 1, "S": 2, "T": 3}),
                          ("generators", {"R": len(g2t)}),
                          ("generators", [0]),
                          ("presentation", 3)):
