@@ -27,13 +27,14 @@ def write_run(checkout, workload, seed, sha, work_per_s, errors=()):
     (out / f"{workload}-{seed}-trace1.json").write_text("not read")
 
 
-def test_groups_runs_by_workload_and_code(bench_summary, tmp_path):
+def test_groups_runs_by_workload_and_code(bench_summary, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for seed, value in ((1, 10.0), (2, 20.0), (3, 30.0), (4, 40.0), (5, 50.0)):
         write_run(tmp_path / "a", "cold-cli", seed, "aaa", value)
     write_run(tmp_path / "b", "cold-cli", 1, "bbb", 7.0, errors=["boom"])
     write_run(tmp_path / "b", "deep-spectrum", 1, "bbb", 3.0)
-    assert bench_summary.main(["--pr", "9", "--out-dir", str(tmp_path),
-                               f"parent={tmp_path / 'a'}", str(tmp_path / "b")]) == 0
+    assert bench_summary.main(["--pr", "9", f"parent={tmp_path / 'a'}",
+                               str(tmp_path / "b")]) == 0
     doc = json.loads((tmp_path / "BENCH_9.json").read_text())
     parent = doc["workloads"]["cold-cli"]["aaa"]
     assert parent["labels"] == ["parent"] and parent["runs"] == 5
@@ -46,6 +47,7 @@ def test_groups_runs_by_workload_and_code(bench_summary, tmp_path):
     assert doc["workloads"]["deep-spectrum"]["bbb"]["runs"] == 1
 
 
-def test_no_results_is_an_error(bench_summary, tmp_path):
-    assert bench_summary.main(["--pr", "9", "--out-dir", str(tmp_path), str(tmp_path)]) == 2
+def test_no_results_is_an_error(bench_summary, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert bench_summary.main(["--pr", "9", str(tmp_path)]) == 2
     assert not (tmp_path / "BENCH_9.json").exists()

@@ -1,4 +1,4 @@
-"""Summarise perfbench result files into one BENCH_<pr>.json.
+"""Summarise perfbench result files into BENCH_<pr>.json in the current directory.
 
     python3 tools/bench_summary.py --pr 10 parent=../parent-checkout change=.
 
@@ -70,7 +70,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pr", type=int, required=True,
                    help="number in the output name BENCH_<pr>.json")
-    p.add_argument("--out-dir", default=".", help="where to write BENCH_<pr>.json")
     p.add_argument("checkouts", nargs="+", metavar="[LABEL=]CHECKOUT")
     args = p.parse_args(argv)
     runs = []
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
         print("error: no .perfbench_out/*-trace0.json in the given checkouts",
               file=sys.stderr)
         return 2
-    path = os.path.join(args.out_dir, f"BENCH_{args.pr}.json")
+    path = f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump({"pr": args.pr, "workloads": summarise(runs)}, fh, indent=1, sort_keys=True)
         fh.write("\n")
