@@ -300,6 +300,12 @@ def test_cached_table_validation_checks_identity_and_inverses(g2t):
     doc["mult_table"][0] = list(reversed(doc["mult_table"][0]))
     with pytest.raises(ValueError, match="identity"):
         group_from_json(doc)
+    # -1 stored first: every stored conjugate is still the table's inverse
+    doc = group_to_json(g2t)
+    m = g2t.neg_identity_index
+    doc["elements"][0], doc["elements"][m] = doc["elements"][m], doc["elements"][0]
+    with pytest.raises(ValueError, match="^field 'mult_table' .* quaternion 1"):
+        group_from_json(doc)
 
 
 def test_save_group_keeps_the_old_file_when_the_dump_fails(g2t, g2o,
