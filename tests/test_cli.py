@@ -164,6 +164,21 @@ def test_malformed_cache_documents_are_usage_errors_naming_the_file(capsys, tmp_
         assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
 
 
+def test_cache_with_a_triple_of_the_other_inner_class_is_refused(capsys, tmp_path):
+    # R, S, T = 117, 2, 102 satisfy R^2 = S^3 = T^5 = RST = -E in 2I, but T
+    # is the rotation by 3pi/5, not pi/5: the names would follow that
+    # triple, 2s would stop being Res chi_1/2, and d_1 of 2s would read 0
+    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
+    path = tmp_path / "2I.json"
+    doc = json.loads(path.read_text())
+    doc["generators"].update(R=117, S=2, T=102)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--cache", str(tmp_path), "spectrum", "2I",
+                         "--irrep", "2s", "--nmax", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
+
+
 def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path,
                                                                monkeypatch):
     # only reading a cache file is checked as outside input; a fault while
