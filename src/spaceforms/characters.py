@@ -571,6 +571,12 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     else:
         chars = _dixon_characters(G)
         table = CharacterTable(G, _assign_labels(G, chars))
+        # the names follow the triple; they match the embedding the spectra
+        # use only when T is the rotation by the least angle
+        if table["2s"].char != spin_character(G, 1):
+            raise TableDerivationError(
+                f"{G.name}: the irrep named 2s is not Res chi_1/2, so the names "
+                "do not follow the defining representation")
         # faithfulness of the defining 2-dim rep: every irrep must show
         # up in some restricted spin character
         for ir in table:

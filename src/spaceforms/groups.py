@@ -101,6 +101,13 @@ def _cos_sin(q: int) -> tuple[CycloNum, CycloNum]:
     return c, s
 
 
+def _least_rotation(t: Quat, n: int) -> bool:
+    """tr T = 2cos(pi/n): T is the rotation by the least angle, the
+    convention the classical irrep names assume.  The other inner class
+    of triples has tr T = 2cos(3pi/n) on 2O and 2I."""
+    return n > 0 and CONDUCTOR % (2 * n) == 0 and t.w == _cos_sin(2 * n)[0]
+
+
 def _half(*coords) -> Quat:
     return Quat(*(c / 2 for c in coords))
 
@@ -273,7 +280,7 @@ class FiniteGroup:
             raise ContractViolation("identity must be element 0")
         g.identity_index = 0
         g.neg_identity_index = g.index.get(-QUAT_ONE)
-        g.inv = tuple(g.index[e.conjugate()] for e in g.elements)
+        g.inv = tuple(row.index(0) for row in g.mult)
         g.orders = g._element_orders()
         g._conjugacy()
         g._reset_derived()
@@ -508,6 +515,8 @@ def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
     # RST = -E is the central element, so (RST)^2 = E
     if rst != -QUAT_ONE:
         raise GroupConstructionError("RST = -E fails")
+    if not _least_rotation(T, n):
+        raise GroupConstructionError(f"T is not the rotation by pi/{n}")
 
     name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
     G = FiniteGroup.from_generators(name, {"R": R, "S": S, "T": T},
@@ -713,6 +722,9 @@ def group_from_json(doc: dict) -> FiniteGroup:
         mult[g][index.get(e.conjugate(), 0)] == 0 for g, e in enumerate(elements)),
              "mult_table", "a table in which element 0 is the quaternion 1 and "
              "each element times its conjugate (its inverse) is element 0")
+    _require(pres is None or _least_rotation(elements[gens["T"]], pres[2]),
+             "generators", "a triple whose T is the rotation by the least angle, "
+             "tr T = 2cos(pi/n)")
     return FiniteGroup._make(doc["name"], elements, mult, gens,
                              presentation=tuple(pres) if pres else None)
 

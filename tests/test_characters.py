@@ -228,6 +228,37 @@ def test_labels_refuse_one_name_for_two_characters(monkeypatch, g2t):
         _labels_with_reference(monkeypatch, g2t, reference)
 
 
+def _presentation_triples(G):
+    """Every (R, S, T) of G with R = ST and R^2 = S^3 = T^n = RST = -E."""
+    n, neg = G.presentation[2], G.neg_identity_index
+    return [(G.mult[s][t], s, t) for s in range(len(G)) for t in range(len(G))
+            if G.orders[s] == 6 and G.orders[t] == 2 * n
+            and G.power(G.mult[s][t], 2) == neg]
+
+
+def test_names_follow_the_defining_representation(monkeypatch, all_groups):
+    # each triple fits the reference rows, but on 2O and 2I only the inner
+    # class with tr T = 2cos(pi/n) names the characters the way the
+    # embedding does; the other class (tr T = 2cos(3pi/n)) must be refused
+    from spaceforms.groups import group_from_json, group_to_json
+    for G in all_groups:
+        triples = _presentation_triples(G)
+        assert len(triples) == {"2T": 24, "2O": 48, "2I": 120}[G.name]
+        tr_t = G.elements[G.generators["T"]].trace()
+        if G.name != "2T":
+            triples = [next(tr for tr in triples if G.elements[tr[2]].trace() != tr_t)]
+        for triple in triples:
+            K = group_from_json(group_to_json(G))
+            monkeypatch.setattr(groups, "find_presentation_triple", lambda *_: triple)
+            groups.adopt_presentation_triple(K, *G.presentation)
+            if G.name == "2T":
+                assert character_table(K)["2s"].char == spin_character(K, 1)
+            else:
+                with pytest.raises(TableDerivationError,
+                                   match=rf"^{G.name}: the irrep named 2s is not"):
+                    character_table(K)
+
+
 def test_alternate_triple_same_labeled_tables():
     from spaceforms.induction import induction_table
     from spaceforms.spectra import degeneracy_series

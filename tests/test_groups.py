@@ -14,13 +14,19 @@ from spaceforms.groups import (QUAT_ONE, GroupConstructionError, Quat,
 EXPECT = {3: (24, 7), 4: (48, 8), 5: (120, 9)}
 
 
-def test_closure_table_is_the_quaternion_product(g2t, g2o):
+def test_closure_table_is_the_quaternion_product(g2t, g2o, g2i):
     # the BFS records each generator product once; every composed row
     # must still be the product of the stored quaternions
     for G in (g2t, g2o):
         brute = tuple(tuple(G.index[a * b] for b in G.elements)
                       for a in G.elements)
         assert G.mult == brute
+    # inverses are read off the table: each is the index of the conjugate,
+    # on built, loaded and subgroup instances alike
+    for G in (g2t, g2o, g2i):
+        loaded = group_from_json(json.loads(json.dumps(group_to_json(G))))
+        for K in (G, loaded, G.cyclic_subgroup("T").group, cyclic_group(10)):
+            assert K.inv == tuple(K.index[e.conjugate()] for e in K.elements)
 
 
 def test_orders_and_class_counts(all_groups):
