@@ -153,3 +153,11 @@ REFERENCE_SOLUTION_MATRICES = {
         ],
     },
 }
+
+# How the rows of the two deviating matrices compare with a fresh solve
+# (theorems.compare_reference_matrices); every other row is "exact".
+REFERENCE_MATRIX_DEVIATIONS = {
+    ("2I", "nonspinor"): {"3": "permuted", "3'": "permuted"},
+    ("2T", "spinor"): {"2s": "scaled", "2s'": "scaled_permuted",
+                       "2s''": "scaled_permuted"},
+}

@@ -82,25 +82,17 @@ def cmd_group(args) -> int:
         doc = {"schema": SCHEMA, "kind": "classes", "group": G.name,
                "count": G.num_classes, "classes": rows,
                "aliases": dict(sorted(G.class_aliases.items()))}
-
-        def text():
-            lines = [f"{G.name}: {G.num_classes} conjugacy classes"]
-            for r in rows:
-                lines.append(f"  [{r['label']}]  size {r['size']:3d}  "
-                             f"element order {r['element_order']}")
-            if G.class_aliases:
-                alias = ", ".join(f"[{a}]=[{p}]"
-                                  for a, p in sorted(G.class_aliases.items()))
-                lines.append(f"  fused labels: {alias}")
-            return "\n".join(lines)
-
-        emit(doc, args.format, text)
+        lines = [f"{G.name}: {G.num_classes} conjugacy classes"]
+        lines += [f"  [{r['label']}]  size {r['size']:3d}  "
+                  f"element order {r['element_order']}" for r in rows]
+        if G.class_aliases:
+            alias = ", ".join(f"[{a}]=[{p}]" for a, p in doc["aliases"].items())
+            lines.append(f"  fused labels: {alias}")
+        emit(doc, args.format, lambda: "\n".join(lines))
         return 0
-    if args.what == "chartab":
-        table = character_table(G)
-        emit(table.to_json(), args.format, table.to_text)
-        return 0
-    raise UsageError(f"unknown group query {args.what!r}")
+    table = character_table(G)
+    emit(table.to_json(), args.format, table.to_text)
+    return 0
 
 
 def cmd_induce(args) -> int:
@@ -171,18 +163,10 @@ def cmd_spectrum(args) -> int:
     series = spectra.degeneracy_series(target, twist, args.nmax)
     weighted = None
     if args.weight != "none":
-        if args.weight in ("heat", "zeta", "counting") and args.param is None:
+        if args.weight != "raw" and args.param is None:
             raise UsageError(f"--weight {args.weight} requires --param")
-        if args.weight == "raw":
-            w = spectra.SpectralWeight.raw()
-        elif args.weight == "heat":
-            w = spectra.SpectralWeight.heat(args.param)
-        elif args.weight == "zeta":
-            w = spectra.SpectralWeight.zeta(args.param)
-        elif args.weight == "counting":
-            w = spectra.SpectralWeight.counting(args.param)
-        else:
-            raise UsageError(f"unknown weight {args.weight!r}")
+        W = spectra.SpectralWeight     # the parser's choices name its constructors
+        w = W.raw() if args.weight == "raw" else getattr(W, args.weight)(args.param)
         weighted = spectra.spectral_sum(series, w)
     if args.format == "csv":
         sys.stdout.write(series.to_csv())
@@ -225,29 +209,14 @@ def cmd_torsion(args) -> int:
 def cmd_mckay(args) -> int:
     G = resolve_group(args.selector, args.cache)
     if args.class_version:
-        diagram = mckay.compactified_diagram(G)
-        if args.format == "dot":
-            sys.stdout.write(mckay.export_dot(diagram))
-            return 0
-        doc = diagram.to_json()
-
-        def text():
-            lines = [f"{G.name} compactified class diagram: poles [E], [-E]"]
-            for gen, arc in diagram.arcs.items():
-                chain = " - ".join(["[E]"] + [f"[{lab}]" for lab in arc] + ["[-E]"])
-                lines.append(f"  {gen}-arc ({len(arc)} internal): {chain}"
-                             f"  (reflection: {diagram.reflection[gen]})")
-            return "\n".join(lines)
-
-        emit(doc, args.format, text)
-        return 0
-    graph = mckay.mckay_graph(G)
-    if args.format == "dot":
-        sys.stdout.write(mckay.export_dot(graph))
-        return 0
-    doc = graph.to_json()
-
-    def text():
+        graph = mckay.compactified_diagram(G)
+        lines = [f"{G.name} compactified class diagram: poles [E], [-E]"]
+        for gen, arc in graph.arcs.items():
+            chain = " - ".join(["[E]"] + [f"[{lab}]" for lab in arc] + ["[-E]"])
+            lines.append(f"  {gen}-arc ({len(arc)} internal): {chain}"
+                         f"  (reflection: {graph.reflection[gen]})")
+    else:
+        graph = mckay.mckay_graph(G)
         lines = [f"{G.name} McKay graph: {graph.ade_name}"]
         k = len(graph.nodes)
         for i in range(k):
@@ -256,9 +225,10 @@ def cmd_mckay(args) -> int:
                     for j in range(k) if graph.adjacency[i][j]]
             lines.append(f"  {graph.nodes[i]} (mark {graph.marks[i]}): "
                          + ", ".join(nbrs))
-        return "\n".join(lines)
-
-    emit(doc, args.format, text)
+    if args.format == "dot":
+        sys.stdout.write(mckay.export_dot(graph))
+    else:
+        emit(graph.to_json(), args.format, lambda: "\n".join(lines))
     return 0
 
 
@@ -266,160 +236,28 @@ def cmd_mckay(args) -> int:
 
 
 def _verify_items(which: str, n_max: int, cache: str | None):
-    gs = [resolve_group(n, cache) for n in ("2T", "2O", "2I")]
-    items: list[theorems.CheckResult] = []
-
-    def want(key):
-        return which in ("all", key)
-
-    if want("tables"):
-        from ._reference_tables import REFERENCE_INDUCTIONS
-        for G in gs:
-            ref = REFERENCE_INDUCTIONS[G.name]
-            for gen, rows in ref.items():
-                got = induction.induction_table(G, gen)
-                ok = all(got[r].as_dict() == rows[r] for r in range(len(rows)))
-                items.append(theorems.CheckResult(
-                    f"{G.name}:table:{gen}", ok))
-                items.append(theorems.CheckResult(
-                    f"{G.name}:column_regular:{gen}",
-                    induction.column_sum_is_regular(G, gen)))
-    if want("isospectral"):
-        for G in gs:
-            items += theorems.verify_isospectrality(G, n_max)
-    if want("dimension"):
-        for G in gs:
-            items.append(theorems.verify_dimension_relation(G, n_max))
-    if want("relations"):
-        for G in gs:
-            items += theorems.verify_central_relations(G, n_max)
-    if want("matrices"):
-        for G in gs:
-            for sector in ("spinor", "nonspinor"):
-                comp = theorems.compare_reference_matrices(G, sector)
-                expected = _expected_matrix_statuses(G.name, sector)
-                ok = comp.statuses() == expected
-                items.append(theorems.CheckResult(
-                    f"{G.name}:matrix:{sector}", ok, comp.summary()))
-                items.append(theorems.CheckResult(
-                    f"{G.name}:matrix_roundtrip:{sector}",
-                    comp.solution.round_trip_is_identity()))
-    if want("conjugations"):
-        for G in gs:
-            for name, ok, detail in groups_mod.verify_generator_conjugations(G):
-                items.append(theorems.CheckResult(
-                    f"{G.name}:conjugation:{name}", ok, detail))
-    if want("induced-matrices"):
-        for G in gs:
-            for gen in ("R", "S", "T", "RST"):
-                H = G.cyclic_subgroup(gen)
-                for r in range(H.order):
-                    ok = induction.verify_monomial_rep(G, gen, r)
-                    items.append(theorems.CheckResult(
-                        f"{G.name}:induced_matrices:{r};{gen}", ok))
-    if want("mckay"):
-        for G in gs:
-            graph = mckay.mckay_graph(G)
-            diagram = mckay.compactified_diagram(G)
-            l, m, n = G.presentation
-            items.append(theorems.CheckResult(
-                f"{G.name}:mckay:ade", graph.ade_name in ("E6~", "E7~", "E8~"),
-                graph.ade_name))
-            items.append(theorems.CheckResult(
-                f"{G.name}:mckay:marks", graph.mark_equation_holds()))
-            items.append(theorems.CheckResult(
-                f"{G.name}:mckay:arcs",
-                sorted(diagram.arc_sizes.values()) == sorted((l - 1, m - 1, n - 1))))
-            items.append(theorems.CheckResult(
-                f"{G.name}:mckay:relink",
-                mckay.relink_matches_mckay(diagram, graph) is not None))
-            cc = mckay.class_correspondence(G)
-            items.append(theorems.CheckResult(
-                f"{G.name}:mckay:two_to_one",
-                cc["two_to_one"] and cc["covers_all_nontrivial_classes"]))
-    if want("sunada"):
-        G = gs[0]
-        v1 = theorems.sunada_check(G, G.cyclic_subgroup("S"),
-                                   G.cyclic_subgroup("T"), 1, 5, n_max)
-        items.append(theorems.CheckResult(
-            "2T:sunada:(1,5)", v1.equivalent and v1.isospectral_verified,
-            v1.detail))
-        v2 = theorems.sunada_check(G, G.cyclic_subgroup("S"),
-                                   G.cyclic_subgroup("T"), 1, 1, n_max)
-        items.append(theorems.CheckResult(
-            "2T:sunada:(1,1)-inequivalent", not v2.equivalent, v2.detail))
-    if want("artin"):
-        for G in gs:
-            items += theorems.artin_sufficiency(G)
-    if want("oracle"):
-        for G in gs + [resolve_group("Z2"), resolve_group("Z4"),
-                       resolve_group("Z6")]:
-            ok = True
-            detail = ""
-            if G.num_classes == len(G):
-                twists = list(range(len(G)))
-            else:
-                twists = [ir.name for ir in character_table(G)]
-            for tw in twists:
-                for lev in range(0, spectra.ORACLE_MAX_LEVEL + 1):
-                    o = spectra.oracle_projector_degeneracy(G, tw, lev)
-                    f = spectra.degeneracy(G, tw, lev)
-                    if o != f:
-                        ok = False
-                        detail = f"twist {tw} level {lev}: oracle {o} != {f}"
-                        break
-                if not ok:
-                    break
-            items.append(theorems.CheckResult(f"{G.name}:oracle", ok, detail))
-    if want("torsion"):
-        anchors = (((4, 1), 2), ((6, 1), 1), ((6, 3), 4))
-        ok = all(spectra.lens_torsion(q, r).exact.as_integer() == v
-                 for (q, r), v in anchors)
-        lhs = spectra.lens_torsion(4, 1).log_value
-        rhs = (spectra.lens_torsion(6, 1).log_value
-               + spectra.lens_torsion(6, 3).log_value / 2)
-        items.append(theorems.CheckResult(
-            "torsion:anchors", ok and abs(lhs - rhs) < 1e-12,
-            f"log residual {abs(lhs - rhs):.2e}"))
-    if not items:
-        raise UsageError(f"unknown verify item {which!r}")
-    return items
-
-
-def _expected_matrix_statuses(name: str, sector: str) -> dict:
-    """Documented comparison outcome per reference matrix."""
-    if name == "2I" and sector == "nonspinor":
-        return {"1": "exact", "3": "permuted", "3'": "permuted",
-                "4": "exact", "5": "exact"}
-    if name == "2T" and sector == "spinor":
-        return {"2s": "scaled", "2s'": "scaled_permuted",
-                "2s''": "scaled_permuted"}
-    rows = {("2T", "nonspinor"): ["1", "1'", "1''", "3"],
-            ("2O", "spinor"): ["2s", "2s'", "4s"],
-            ("2O", "nonspinor"): ["1", "1'", "2", "3", "3'"],
-            ("2I", "spinor"): ["2s", "2s'", "4s", "6s"]}[(name, sector)]
-    return {r: "exact" for r in rows}
+    """Run one registry item, or all in order, resolving each group they
+    read once."""
+    items = theorems.VERIFY_ITEMS
+    chosen = list(items.values()) if which == "all" else [items[which]]
+    selectors = dict.fromkeys(sel for sels, _ in chosen for sel in sels)
+    groups = {sel: resolve_group(sel, cache) for sel in selectors}
+    return [result for sels, check in chosen
+            for result in check([groups[sel] for sel in sels], n_max)]
 
 
 def cmd_verify(args) -> int:
     _check_nmax(args)
     items = _verify_items(args.item, args.nmax, args.cache)
-    failures = [i for i in items if not i.passed]
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "kind": "verification_report",
-               "item": args.item, "n_max": args.nmax,
-               "total": len(items), "failed": len(failures),
-               "results": [i.as_dict() for i in items]}
-        print(json.dumps(doc, indent=2, allow_nan=False))
-    else:
-        for i in items:
-            mark = "PASS" if i.passed else "FAIL"
-            line = f"{mark}  {i.key}"
-            if i.detail:
-                line += f"  [{i.detail}]"
-            print(line)
-        print(f"{len(items) - len(failures)}/{len(items)} checks passed")
-    return 1 if failures else 0
+    failed = sum(not i.passed for i in items)
+    doc = {"schema": SCHEMA, "kind": "verification_report", "item": args.item,
+           "n_max": args.nmax, "total": len(items), "failed": failed,
+           "results": [i.as_dict() for i in items]}
+    lines = [f"{'PASS' if i.passed else 'FAIL'}  {i.key}"
+             + (f"  [{i.detail}]" if i.detail else "") for i in items]
+    lines.append(f"{len(items) - failed}/{len(items)} checks passed")
+    emit(doc, args.format, lambda: "\n".join(lines))
+    return 1 if failed else 0
 
 
 # -- parser -------------------------------------------------------------
@@ -477,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_mckay)
 
     v = sub.add_parser("verify", help="run verification items")
-    v.add_argument("item", choices=["all", "tables", "isospectral", "dimension",
-                                    "relations", "matrices", "conjugations",
-                                    "induced-matrices", "mckay", "sunada", "artin",
-                                    "oracle", "torsion"])
+    v.add_argument("item", choices=["all", *theorems.VERIFY_ITEMS])
     v.add_argument("--nmax", type=int, default=60)
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.set_defaults(func=cmd_verify)
@@ -492,10 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, LookupError) as exc:
+    except (ValueError, LookupError) as exc:     # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:

@@ -17,12 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._reference_tables import REFERENCE_SOLUTION_MATRICES
+from ._reference_tables import (REFERENCE_INDUCTIONS, REFERENCE_MATRIX_DEVIATIONS,
+                                REFERENCE_SOLUTION_MATRICES)
 from .characters import _rref, character_table
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
-                     SubgroupHandle)
-from .induction import _mat_mul, induce_character, induce_twist
-from .spectra import degeneracy_series
+                     SubgroupHandle, verify_generator_conjugations)
+from .induction import (_mat_mul, column_sum_is_regular, induce_character,
+                        induce_twist, induction_table, verify_monomial_rep)
+from .mckay import (class_correspondence, compactified_diagram, mckay_graph,
+                    relink_matches_mckay)
+from .spectra import (ORACLE_MAX_LEVEL, degeneracy, degeneracy_series,
+                      lens_torsion, oracle_projector_degeneracy)
 
 GENERATORS = ("R", "S", "T", "RST")
 
@@ -405,3 +410,136 @@ def verify_solved_system_consistency(G: FiniteGroup, sector: str,
                         f"{G.name}:system_consistency:{sector}", False,
                         f"equation {r};{gen} residual at level {n}")
     return CheckResult(f"{G.name}:system_consistency:{sector}", True)
+
+
+# -- the verify items -----------------------------------------------------
+# One function (groups, n_max) -> [CheckResult] per item.  VERIFY_ITEMS lists
+# them in report order with the group selectors each reads; the caller
+# resolves those once and passes the groups in that order.
+
+
+def _tables(gs, n_max):
+    out = []
+    for G in gs:
+        for gen, rows in REFERENCE_INDUCTIONS[G.name].items():
+            got = [row.as_dict() for row in induction_table(G, gen)]
+            out.append(CheckResult(f"{G.name}:table:{gen}", got[:len(rows)] == rows))
+            out.append(CheckResult(f"{G.name}:column_regular:{gen}",
+                                   column_sum_is_regular(G, gen)))
+    return out
+
+
+def _isospectral(gs, n_max):
+    return [c for G in gs for c in verify_isospectrality(G, n_max)]
+
+
+def _dimension(gs, n_max):
+    return [verify_dimension_relation(G, n_max) for G in gs]
+
+
+def _relations(gs, n_max):
+    return [c for G in gs for c in verify_central_relations(G, n_max)]
+
+
+def _matrices(gs, n_max):
+    out = []
+    for G in gs:
+        for sector in ("spinor", "nonspinor"):
+            comp = compare_reference_matrices(G, sector)
+            want = dict.fromkeys(comp.reference_rows, "exact")
+            want.update(REFERENCE_MATRIX_DEVIATIONS.get((G.name, sector), {}))
+            ok = comp.statuses() == want
+            out.append(CheckResult(f"{G.name}:matrix:{sector}", ok, comp.summary()))
+            out.append(CheckResult(f"{G.name}:matrix_roundtrip:{sector}",
+                                   comp.solution.round_trip_is_identity()))
+    return out
+
+
+def _conjugations(gs, n_max):
+    return [CheckResult(f"{G.name}:conjugation:{name}", ok, detail)
+            for G in gs for name, ok, detail in verify_generator_conjugations(G)]
+
+
+def _induced_matrices(gs, n_max):
+    return [CheckResult(f"{G.name}:induced_matrices:{r};{gen}",
+                        verify_monomial_rep(G, gen, r))
+            for G in gs for gen in GENERATORS
+            for r in range(G.cyclic_subgroup(gen).order)]
+
+
+def _mckay(gs, n_max):
+    out = []
+    for G in gs:
+        key = f"{G.name}:mckay"
+        graph, diagram = mckay_graph(G), compactified_diagram(G)
+        out.append(CheckResult(f"{key}:ade", graph.ade_name in ("E6~", "E7~", "E8~"),
+                               graph.ade_name))
+        out.append(CheckResult(f"{key}:marks", graph.mark_equation_holds()))
+        out.append(CheckResult(f"{key}:arcs", sorted(diagram.arc_sizes.values())
+                               == sorted(k - 1 for k in G.presentation)))
+        out.append(CheckResult(f"{key}:relink",
+                               relink_matches_mckay(diagram, graph) is not None))
+        cc = class_correspondence(G)
+        ok = cc["two_to_one"] and cc["covers_all_nontrivial_classes"]
+        out.append(CheckResult(f"{key}:two_to_one", ok))
+    return out
+
+
+def _sunada(gs, n_max):
+    [G] = gs
+    S, T = G.cyclic_subgroup("S"), G.cyclic_subgroup("T")
+    v1, v2 = sunada_check(G, S, T, 1, 5, n_max), sunada_check(G, S, T, 1, 1, n_max)
+    return [CheckResult(f"{G.name}:sunada:(1,5)",
+                        v1.equivalent and v1.isospectral_verified, v1.detail),
+            CheckResult(f"{G.name}:sunada:(1,1)-inequivalent",
+                        not v2.equivalent, v2.detail)]
+
+
+def _artin(gs, n_max):
+    return [c for G in gs for c in artin_sufficiency(G)]
+
+
+def _oracle_check(G: FiniteGroup) -> CheckResult:
+    """The numeric projector oracle against the exact degeneracy for every
+    twist up to ORACLE_MAX_LEVEL; the first disagreement fails the group."""
+    twists = (range(len(G)) if G.num_classes == len(G)
+              else [ir.name for ir in character_table(G)])
+    for tw in twists:
+        for lev in range(ORACLE_MAX_LEVEL + 1):
+            o, f = oracle_projector_degeneracy(G, tw, lev), degeneracy(G, tw, lev)
+            if o != f:
+                return CheckResult(f"{G.name}:oracle", False,
+                                   f"twist {tw} level {lev}: oracle {o} != {f}")
+    return CheckResult(f"{G.name}:oracle", True)
+
+
+def _oracle(gs, n_max):
+    return [_oracle_check(G) for G in gs]
+
+
+def _torsion(gs, n_max):
+    anchors = (((4, 1), 2), ((6, 1), 1), ((6, 3), 4))
+    ok = all(lens_torsion(q, r).exact.as_integer() == v for (q, r), v in anchors)
+    lhs = lens_torsion(4, 1).log_value
+    rhs = lens_torsion(6, 1).log_value + lens_torsion(6, 3).log_value / 2
+    return [CheckResult("torsion:anchors", ok and abs(lhs - rhs) < 1e-12,
+                        f"log residual {abs(lhs - rhs):.2e}")]
+
+
+POLYHEDRAL = ("2T", "2O", "2I")
+
+# item -> (group selectors it reads, check); `verify all` runs them in order
+VERIFY_ITEMS = {
+    "tables": (POLYHEDRAL, _tables),
+    "isospectral": (POLYHEDRAL, _isospectral),
+    "dimension": (POLYHEDRAL, _dimension),
+    "relations": (POLYHEDRAL, _relations),
+    "matrices": (POLYHEDRAL, _matrices),
+    "conjugations": (POLYHEDRAL, _conjugations),
+    "induced-matrices": (POLYHEDRAL, _induced_matrices),
+    "mckay": (POLYHEDRAL, _mckay),
+    "sunada": (("2T",), _sunada),
+    "artin": (POLYHEDRAL, _artin),
+    "oracle": (POLYHEDRAL + ("Z2", "Z4", "Z6"), _oracle),
+    "torsion": ((), _torsion),
+}

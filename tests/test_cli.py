@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
-from spaceforms import groups
+from spaceforms import cli, groups, theorems
 from spaceforms.cli import main
 from spaceforms.groups import ContractViolation
 
@@ -211,6 +212,44 @@ def test_verify_subsets(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 60 and all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_torsion_builds_no_group(capsys, tmp_path):
+    code, out, _ = run(capsys, "--cache", str(tmp_path), "verify", "torsion")
+    assert code == 0 and out.startswith("PASS  torsion:anchors")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_resolves_each_group_its_items_read_once(capsys, tmp_path,
+                                                         monkeypatch):
+    calls = []
+    resolve = cli.resolve_group
+
+    def recording(selector, cache=None):
+        calls.append(selector)
+        return resolve(selector, cache)
+
+    monkeypatch.setattr(cli, "resolve_group", recording)
+    for argv, want in ((["verify", "sunada", "--nmax", "4"], ["2T"]),
+                       (["verify", "torsion"], []),
+                       (["--cache", str(tmp_path), "verify", "all", "--nmax", "4"],
+                        ["2T", "2O", "2I", "Z2", "Z4", "Z6"])):
+        calls.clear()
+        run(capsys, *argv)
+        assert calls == want, argv
+
+
+def test_verify_choices_come_from_the_registry(capsys, monkeypatch):
+    def probe(gs, n_max):
+        return [theorems.CheckResult(f"{len(gs)}:probe:{n_max}", True)]
+
+    monkeypatch.setitem(theorems.VERIFY_ITEMS, "probe", ((), probe))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    item = next(a for a in sub.choices["verify"]._actions if a.dest == "item")
+    assert item.choices == ["all", *theorems.VERIFY_ITEMS]
+    code, out, _ = run(capsys, "verify", "probe", "--nmax", "3")
+    assert code == 0 and out == "PASS  0:probe:3\n1/1 checks passed\n"
 
 
 def test_verify_relations_reports_known_discrepancies(capsys):
