@@ -16,6 +16,10 @@ def bench_summary():
     return module
 
 
+COUNTS = {"characters.inner_product_calls": 9609, "exactnum.mul_calls": 51234,
+          "spectra.levels": 2541, "spectra.oracle_calls": 0}
+
+
 def write_run(checkout, workload, seed, sha, work_per_s, errors=()):
     out = checkout / ".perfbench_out"
     out.mkdir(parents=True, exist_ok=True)
@@ -23,8 +27,12 @@ def write_run(checkout, workload, seed, sha, work_per_s, errors=()):
            "end_to_end": {"work_per_s": work_per_s, "setup_s": 0.5},
            "op_latencies_ms": [1.0] * 10, "errors": list(errors)}
     (out / f"{workload}-{seed}-trace0.json").write_text(json.dumps(doc))
-    # traced runs and other files are not end-to-end results
-    (out / f"{workload}-{seed}-trace1.json").write_text("not read")
+    # a traced run: only its work counts are read, not its end-to-end figures
+    # or its timed per-layer metrics
+    traced = dict(doc, end_to_end={"work_per_s": 999.0, "setup_s": 9.0},
+                  per_layer={**COUNTS, "exactnum.mul_ns": 41.5, "spectra.sum_s": 0.2,
+                             "spectra.ip_per_level": 3.8})
+    (out / f"{workload}-{seed}-trace1.json").write_text(json.dumps(traced))
 
 
 def test_groups_runs_by_workload_and_code(bench_summary, tmp_path, monkeypatch):
@@ -45,6 +53,10 @@ def test_groups_runs_by_workload_and_code(bench_summary, tmp_path, monkeypatch):
     assert change["failed"] == 1 and change["labels"] == [str(tmp_path / "b")]
     assert change["end_to_end"]["work_per_s"] == {"median": 7.0, "q1": 7.0, "q3": 7.0}
     assert doc["workloads"]["deep-spectrum"]["bbb"]["runs"] == 1
+    assert doc["trace_counts"] == {
+        "cold-cli": {"aaa": {str(seed): COUNTS for seed in range(1, 6)},
+                     "bbb": {"1": COUNTS}},
+        "deep-spectrum": {"bbb": {"1": COUNTS}}}
 
 
 def test_no_results_is_an_error(bench_summary, tmp_path, monkeypatch):

@@ -9,6 +9,11 @@ code they measured (`provenance.src_sha256`).  For each group it writes the
 run count, the operations attempted and failed, and the median, first and
 third quartile of each end-to-end metric.  Quartiles use the inclusive
 method (linear interpolation between order statistics).
+
+It also reads every traced result file `<workload>-<seed>-trace1.json` and
+writes, under `trace_counts`, per workload, code digest and seed, the exact
+work counts of its per-layer metrics: every `*_calls` count and
+`spectra.levels`.  For one seed they do not depend on the machine's speed.
 """
 
 from __future__ import annotations
@@ -28,12 +33,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def load_runs(label: str, checkout: str) -> list[dict]:
-    runs = []
-    pattern = os.path.join(checkout, ".perfbench_out", "*-trace0.json")
+def load_docs(checkout: str, trace: int) -> list[dict]:
+    pattern = os.path.join(checkout, ".perfbench_out", f"*-trace{trace}.json")
+    docs = []
     for path in sorted(glob.glob(pattern)):
         with open(path) as fh:
-            doc = json.load(fh)
+            docs.append(json.load(fh))
+    return docs
+
+
+def load_runs(label: str, checkout: str) -> list[dict]:
+    runs = []
+    for doc in load_docs(checkout, 0):
         runs.append({"label": label, "workload": doc["workload"],
                      "seed": doc["provenance"]["seed"],
                      "src_sha256": doc["provenance"]["src_sha256"],
@@ -66,23 +77,37 @@ def summarise(runs: list[dict]) -> dict:
     return out
 
 
+def trace_counts(docs: list[dict]) -> dict:
+    """workload -> src_sha256 -> seed -> the exact work counts of one run."""
+    out: dict = {}
+    for doc in docs:
+        prov = doc["provenance"]
+        by_seed = out.setdefault(doc["workload"], {}).setdefault(prov["src_sha256"], {})
+        by_seed[str(prov["seed"])] = {
+            m: v for m, v in doc["per_layer"].items()
+            if m.endswith("_calls") or m == "spectra.levels"}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pr", type=int, required=True,
                    help="number in the output name BENCH_<pr>.json")
     p.add_argument("checkouts", nargs="+", metavar="[LABEL=]CHECKOUT")
     args = p.parse_args(argv)
-    runs = []
+    runs, traces = [], []
     for arg in args.checkouts:
         label, _, checkout = arg.rpartition("=")
         runs += load_runs(label or checkout, checkout)
-    if not runs:
-        print("error: no .perfbench_out/*-trace0.json in the given checkouts",
+        traces += load_docs(checkout, 1)
+    if not runs and not traces:
+        print("error: no .perfbench_out/*-trace[01].json in the given checkouts",
               file=sys.stderr)
         return 2
     path = f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
-        json.dump({"pr": args.pr, "workloads": summarise(runs)}, fh, indent=1, sort_keys=True)
+        json.dump({"pr": args.pr, "workloads": summarise(runs),
+                   "trace_counts": trace_counts(traces)}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(path)
     return 0
