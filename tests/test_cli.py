@@ -180,6 +180,21 @@ def test_cache_with_a_triple_of_the_other_inner_class_is_refused(capsys, tmp_pat
     assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
 
 
+def test_cache_whose_generators_break_the_relations_is_refused(capsys, tmp_path):
+    # element 5 has order 5, so R^2 = RST fails; read off this file the lens
+    # spectrum of <R> was d_1 = 0, d_2 = 3 with exit 0, against d_1 = 2,
+    # d_2 = 0 for the built group
+    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
+    path = tmp_path / "2I.json"
+    doc = json.loads(path.read_text())
+    doc["generators"]["R"] = 5
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--cache", str(tmp_path), "spectrum", "2I",
+                         "--gen", "R", "--r", "1", "--nmax", "8")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
+
+
 def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path,
                                                                monkeypatch):
     # only reading a cache file is checked as outside input; a fault while
