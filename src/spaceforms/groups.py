@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 
 from .exactnum import CONDUCTOR, DEGREE, CycloNum, ONE, ZERO, root_of_unity
@@ -143,38 +144,40 @@ def generator_triple(n: int, variant: int = 0) -> tuple[Quat, Quat, Quat]:
     raise ValueError(f"no binary polyhedral group <2,3,{n}>")
 
 
-def _closure(gens: list[Quat]):
-    """BFS closure from the identity; returns elements in discovery
-    order, the index map, and left-multiplication rows for every
-    element (composed along the BFS tree, so only the |gens|*|G|
-    quaternion products of the search itself are needed: every element
-    is in exactly one frontier)."""
-    elements = [QUAT_ONE]
-    index = {QUAT_ONE: 0}
-    frontier = [QUAT_ONE]
-    parent: list[tuple[int, int] | None] = [None]   # (gen id, source idx)
-    gen_perm: list[dict[int, int]] = [{} for _ in gens]   # x -> index of g*x
-    while frontier:
-        new = []
-        for gi, g in enumerate(gens):
+def _walk(start, gens, step):
+    """Breadth-first walk from `start`, one generator at a time over each
+    frontier, so every node is in exactly one frontier.  Returns the
+    nodes in discovery order, each node's parent (generator position,
+    source position), None for `start`, and each generator's action as a
+    list: action[k][x] is the position of step(gens[k], nodes[x])."""
+    nodes, index, parent = [start], {start: 0}, [None]
+    action = [[] for _ in gens]
+    done = 0
+    while done < len(nodes):
+        frontier, done = range(done, len(nodes)), len(nodes)
+        for k, g in enumerate(gens):
             for x in frontier:
-                p = g * x
+                p = step(g, nodes[x])
                 if p not in index:
-                    index[p] = len(elements)
-                    elements.append(p)
-                    parent.append((gi, index[x]))
-                    new.append(p)
-                gen_perm[gi][index[x]] = index[p]
-        frontier = new
-        if len(elements) > 10000:
+                    index[p] = len(nodes)
+                    nodes.append(p)
+                    parent.append((k, x))
+                action[k].append(index[p])
+        if len(nodes) > 10000:
             raise GroupConstructionError("closure did not terminate")
-    size = len(elements)
-    left = [list(range(size))] + [None] * (size - 1)
-    for idx in range(1, size):
-        gi, src = parent[idx]
-        pg, ps = gen_perm[gi], left[src]
-        left[idx] = [pg[ps[j]] for j in range(size)]
-    return elements, index, left
+    return nodes, parent, action
+
+
+def _closure(gens: list[Quat]):
+    """Walk from the identity by left multiplication; returns elements in
+    discovery order and the left-multiplication rows of every element
+    (composed along the walk's tree, so only the |gens|*|G| quaternion
+    products of the walk itself are needed), and each generator's index."""
+    elements, parent, action = _walk(QUAT_ONE, gens, lambda g, x: g * x)
+    left = [list(range(len(elements)))]
+    for k, src in parent[1:]:
+        left.append([action[k][j] for j in left[src]])
+    return elements, left, [act[0] for act in action]
 
 
 class SubgroupHandle:
@@ -295,6 +298,7 @@ class FiniteGroup:
         self._cyclic_subgroups = {}
         self._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
         self._induced_twists = {}      # (gen, r mod q) -> decomposition
+        self._tree = None
 
     @staticmethod
     def from_generators(name, gens: dict[str, Quat], presentation=None):
@@ -302,10 +306,8 @@ class FiniteGroup:
             if not gen.is_unit():
                 raise GroupConstructionError(
                     f"generator {label} is not a unit quaternion")
-        glist = list(gens.values())
-        elements, index, left = _closure(glist)
-        return FiniteGroup._make(name, elements, left,
-                                 {k: index[v] for k, v in gens.items()},
+        elements, left, at = _closure(list(gens.values()))
+        return FiniteGroup._make(name, elements, left, dict(zip(gens, at)),
                                  presentation=presentation)
 
     @staticmethod
@@ -438,6 +440,24 @@ class FiniteGroup:
     def num_classes(self) -> int:
         return len(self.classes)
 
+    @property
+    def tree(self) -> dict:
+        """Spanning tree of the walk from E over the rows of the
+        generators R, S, T of a presented group, or g of a cyclic one:
+        element -> (generator name, source) with element = generator *
+        source, None for E, in discovery order.  It covers the group
+        exactly when those generators generate it."""
+        if self._tree is None:
+            names = [k for k in ("R", "S", "T", "g") if k in self.generators]
+            nodes, parent, _ = self._walk_rows(self.generators[k] for k in names)
+            self._tree = {x: p and (names[p[0]], nodes[p[1]])
+                          for x, p in zip(nodes, parent)}
+        return self._tree
+
+    def _walk_rows(self, gens):
+        """The walk from E by left multiplication with the elements `gens`."""
+        return _walk(0, [self.mult[g] for g in gens], operator.getitem)
+
     # -- subgroups ----------------------------------------------------
 
     def cyclic_subgroup(self, gen: str) -> SubgroupHandle:
@@ -465,26 +485,11 @@ class FiniteGroup:
         t, inv = self.mult, self.inv
         n = len(self.elements)
         comms = {t[t[t[a][b]][inv[a]]][inv[b]] for a in range(n) for b in range(n)}
-        members = _subgroup_closure(self, comms)
-        return SubgroupHandle(self, members, name=f"{self.name}.derived")
+        return SubgroupHandle(self, self._walk_rows(comms)[0],
+                              name=f"{self.name}.derived")
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={len(self)})"
-
-
-def _subgroup_closure(G: FiniteGroup, seed) -> list[int]:
-    members = {G.identity_index} | set(seed)
-    frontier = list(members)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for p in (G.mult[a][b], G.mult[b][a]):
-                    if p not in members:
-                        members.add(p)
-                        new.append(p)
-        frontier = new
-    return sorted(members)
 
 
 _BUILD_CACHE: dict[tuple, FiniteGroup] = {}
@@ -600,7 +605,7 @@ def find_presentation_triple(G: FiniteGroup, l: int, m: int, n: int):
             r = G.mult[s][t]
             if G.power(r, l) != neg:
                 continue
-            if len(_subgroup_closure(G, {s, t})) == len(G):
+            if len(G._walk_rows((s, t))[0]) == len(G):
                 return r, s, t
     raise LookupError(f"no presentation triple <{l},{m},{n}> found in {G.name}")
 

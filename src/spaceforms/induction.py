@@ -337,31 +337,18 @@ def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> bool:
     products, and exactness of the trace against the induced character
     on every class.
 
-    D(E) is the identity and D(x) D(s) = D(xs) is checked for every x
-    reached from E by right multiplication with a generator s; once
-    every element is reached, each one is a word in the generators, so
+    D(E) is the identity and D(x) D(s) = D(xs) is checked for every x and
+    every generator s on an edge of G's spanning tree; once the tree
+    covers G, each element is a word in those generators, so
     D(a) D(b) = D(ab) follows for all pairs."""
     H = G.cyclic_subgroup(gen)
     rep = induced_matrices(G, gen, r)
     if rep.character() != induce_character(H, r):
         return False
     e, n = G.identity_index, rep.cosets.count
-    if rep.data[e] != (tuple(range(n)), (e,) * n):
-        return False
-    gens = sorted(set(G.generators.values()))
-    reached, frontier = {e}, [e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in gens:
-                if not rep.is_homomorphic_at(x, s):
-                    return False
-                y = G.mult[x][s]
-                if y not in reached:
-                    reached.add(y)
-                    new.append(y)
-        frontier = new
-    return len(reached) == len(G)
+    gens = {G.generators[g] for g, _ in filter(None, G.tree.values())}
+    return (rep.data[e] == (tuple(range(n)), (e,) * n) and len(G.tree) == len(G)
+            and all(rep.is_homomorphic_at(x, s) for x in range(len(G)) for s in gens))
 
 
 def induced_matrices(G: FiniteGroup, gen_or_handle, B) -> MonomialRep:

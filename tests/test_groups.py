@@ -29,6 +29,26 @@ def test_closure_table_is_the_quaternion_product(g2t, g2o, g2i):
             assert K.inv == tuple(K.index[e.conjugate()] for e in K.elements)
 
 
+def test_spanning_tree_covers_built_loaded_and_subgroup_instances(all_groups):
+    for G in all_groups:
+        loaded = group_from_json(json.loads(json.dumps(group_to_json(G))))
+        for K in (G, loaded, G.cyclic_subgroup("T").group, cyclic_group(10)):
+            assert len(K.tree) == len(K) and K.tree[0] is None
+            assert all(K.mult[K.generators[g]][src] == x
+                       for x, (g, src) in list(K.tree.items())[1:])
+        # a build enumerates by the same walk, over quaternions
+        for K in (G, cyclic_group(10)):
+            assert list(K.tree) == list(range(len(K)))
+
+
+def test_adopting_a_triple_rebuilds_the_tree(g2o):
+    K = find_index2_subgroup(g2o).group
+    assert K.tree == {0: None}          # no generators yet
+    groups.adopt_presentation_triple(K, 2, 3, 3)
+    assert len(K.tree) == len(K)
+    assert {g for g, _ in list(K.tree.values())[1:]} <= {"R", "S", "T"}
+
+
 def test_orders_and_class_counts(all_groups):
     for G in all_groups:
         n = G.presentation[2]

@@ -223,6 +223,29 @@ def test_monomial_verification_rejects_one_corrupted_entry(g2i, monkeypatch):
             monkeypatch.undo()
 
 
+def test_monomial_verification_checks_more_than_one_generator(g2i, monkeypatch):
+    # D'(x) = D(-x) on one left coset of <s> that holds no class
+    # representative keeps D'(E) = 1, the character and D'(x) D'(s) =
+    # D'(xs) for all x; D(-E) = -1 for r = 1, so the products with the
+    # other generators are wrong
+    H = g2i.cyclic_subgroup("S")
+    neg = g2i.neg_identity_index
+    for name in ("R", "S", "T"):
+        s, powers = g2i.generators[name], g2i.cyclic_subgroup(name).member_indices
+        coset = next(c for c in ({g2i.mult[x][h] for h in powers}
+                                 for x in range(len(g2i)))
+                     if not c & set(g2i.class_reps))
+        rep = induced_matrices(g2i, "S", 1)
+        rep.data = tuple(rep.data[g2i.mult[neg][x]] if x in coset else d
+                         for x, d in enumerate(rep.data))
+        assert rep.character() == induce_character(H, 1)
+        assert all(rep.is_homomorphic_at(x, s) for x in range(len(g2i)))
+        monkeypatch.setattr(induction, "induced_matrices",
+                            lambda G, gen, r, rep=rep: rep)
+        assert not induction.verify_monomial_rep(g2i, "S", 1), name
+        monkeypatch.undo()
+
+
 def test_regular_rep_splits_over_the_center(all_groups):
     # Ind from {E} = Ind from {E,-E} of the two central characters
     for G in all_groups:
