@@ -719,7 +719,8 @@ def group_from_json(doc: dict) -> FiniteGroup:
              and (pres is None or {"R", "S", "T", "RST"} <= gens.keys()),
              "generators", "a map from names to element indices, "
              "with R, S, T and RST when there is a presentation")
-    _require(pres is None or _ints(pres, 3), "presentation", "null or 3 ints")
+    _require(pres is None or _ints(pres, 3) and all(0 < k <= len(perm) for k in pres),
+             "presentation", "null or 3 ints from 1 to the number of elements")
     elements = [Quat(*(CycloNum(tuple(c["num"]), c["den"]) for c in e))
                 for e in elements]
     index = {e: i for i, e in enumerate(elements)}
@@ -730,8 +731,28 @@ def group_from_json(doc: dict) -> FiniteGroup:
     _require(pres is None or _least_rotation(elements[gens["T"]], pres[2]),
              "generators", "a triple whose T is the rotation by the least angle, "
              "tr T = 2cos(pi/n)")
-    return FiniteGroup._make(doc["name"], elements, mult, gens,
-                             presentation=tuple(pres) if pres else None)
+    G = FiniteGroup._make(doc["name"], elements, mult, gens,
+                          presentation=tuple(pres) if pres else None)
+    if pres is not None:
+        # The relations, generation by R, S, T and Light's associativity
+        # test on them (Clifford and Preston 1961) make the table a
+        # quotient of <l,m,n> (von Dyck).  RST = -E lies in every nontrivial
+        # normal subgroup of 2T, 2O and 2I, so with RST != E the quotient
+        # is <l,m,n> itself.
+        t = G.mult
+        R, S, T, rst = (gens[k] for k in ("R", "S", "T", "RST"))
+        _require([t[t[R][S]][T], *map(G.power, (R, S, T), pres)] == [rst] * 4
+                 and rst != 0 and t[rst][rst] == 0,
+                 "generators", "a triple with R^l = S^m = T^n = RST = R*S*T, "
+                 "RST not element 0 and RST^2 element 0")
+        _require(len(G.tree) == len(G), "mult_table", "a table generated by R, S and T")
+        # Light's test in row form: row(x s) is row(x) read at row(s)
+        read_at = [(s, operator.itemgetter(*t[s])) for s in (R, S, T)]
+        _require(all(t[row[s]] == get(row) for s, get in read_at for row in t),
+                 "mult_table", "associative (Light's test on R, S and T)")
+    _require(all(len({elements[x].w for x in c}) == 1 for c in G.classes),
+             "elements", "a list of quaternions with one trace on each class of the table")
+    return G
 
 
 def save_group(G: FiniteGroup, path: str) -> None:

@@ -195,6 +195,22 @@ def test_cache_whose_generators_break_the_relations_is_refused(capsys, tmp_path)
     assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
 
 
+def test_cache_whose_quaternions_break_the_classes_is_refused(capsys, tmp_path):
+    # elements 5 and 10 (classes T^4 and T^2) and their inverses 13 and 30
+    # trade quaternions: every other check passes, and the character table
+    # derivation ended in a traceback
+    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
+    path = tmp_path / "2I.json"
+    doc = json.loads(path.read_text())
+    elements = doc["elements"]
+    for a, b in ((5, 10), (13, 30)):
+        elements[a], elements[b] = elements[b], elements[a]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "chartab")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+
+
 def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path,
                                                                monkeypatch):
     # only reading a cache file is checked as outside input; a fault while

@@ -307,6 +307,58 @@ def test_group_document_shape_errors_name_the_field(g2t):
         del doc[field]
         with pytest.raises(ValueError, match=f"^field '{field}' is not present"):
             group_from_json(doc)
+    # each passes every check above and fails one check of the table
+    # against its presentation or of the quaternions against the classes
+    for field, doc in _documents_failing_one_table_check(g2t):
+        with pytest.raises(ValueError, match=f"^field '{field}' is not "):
+            group_from_json(doc)
+
+
+def _swapped(doc, G, x, y):
+    """doc with the quaternions of x and y, and of their inverses, swapped:
+    the conjugates stay the table's inverses, but the traces move."""
+    elements = list(doc["elements"])
+    for a, b in ((x, y), (G.inv[x], G.inv[y])):
+        elements[a], elements[b] = elements[b], elements[a]
+    return {**doc, "elements": elements}
+
+
+def _documents_failing_one_table_check(G):
+    good = group_to_json(G)
+    t, inv, neg = G.mult, G.inv, G.neg_identity_index
+    R, S, T = (G.generators[k] for k in "RST")
+    order = {k: [x for x in range(len(G)) if G.orders[x] == k] for k in (3, 4, 6)}
+    # R*S*T is not the stored RST: another R of order 4
+    r = next(x for x in order[4] if t[t[x][S]][T] != neg)
+    yield "generators", {**good, "generators": {**good["generators"], "R": r}}
+    # S^m is not RST
+    yield "generators", {**good, "presentation": [2, 2, 3]}
+    # RST is E: T's quaternion on an element y of order 3
+    y = order[3][0]
+    yield "generators", {**_swapped(good, G, T, y),
+                         "generators": {"R": 0, "S": inv[y], "T": y, "RST": 0}}
+    # RST^2 is not E: T's quaternion on an element z of order 4, T^3 = z^-1
+    z = order[4][0]
+    yield "generators", {**_swapped(good, G, T, z), "presentation": [1, 1, 3],
+                         "generators": {"R": inv[z], "S": inv[z], "T": z,
+                                        "RST": inv[z]}}
+    # not generated: i, j, k of the quaternion group satisfy <2,2,2>
+    i = order[4][0]
+    j = next(x for x in order[4] if x not in (i, inv[i]))
+    yield "mult_table", {**good, "presentation": [2, 2, 2], "generators": {
+        "R": i, "S": j, "T": t[neg][inv[t[i][j]]], "RST": neg}}
+    # not associative: a*b and a*(-b) trade places in rows a and -a, away
+    # from E and the generators, so the rest still holds
+    a, b = next((a, b) for a in range(len(G)) for b in range(len(G))
+                if {a, t[neg][a], b, t[neg][b]}.isdisjoint({0, R, S, T})
+                and 0 not in (t[a][b], t[neg][t[a][b]]))
+    table = [list(row) for row in t]
+    for x in (a, t[neg][a]):
+        table[x][b], table[x][t[neg][b]] = table[x][t[neg][b]], table[x][b]
+    yield "mult_table", {**good, "mult_table": table}
+    # two classes trade traces
+    x = next(x for x in order[6] if not {x, inv[x]} & {S, T})
+    yield "elements", _swapped(good, G, order[3][0], x)
 
 
 def test_cached_table_validation_checks_identity_and_inverses(g2t):
