@@ -15,7 +15,7 @@ import sys
 
 from . import groups as groups_mod
 from . import induction, mckay, spectra, theorems
-from .characters import character_table, normalize_irrep_name
+from .characters import TableDerivationError, character_table, normalize_irrep_name
 from .exactnum import format_value
 from .groups import SCHEMA, ContractViolation, FiniteGroup
 
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except (ValueError, LookupError) as exc:     # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ContractViolation as exc:
+    except (ContractViolation, TableDerivationError) as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from spaceforms import cli, groups, theorems
+from spaceforms.characters import TableDerivationError
 from spaceforms.cli import main
 from spaceforms.groups import ContractViolation
 
@@ -223,6 +224,18 @@ def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path
     assert code == 3 and out == ""
     assert err == "internal contract violation: 2T identity fails\n"
     assert not (tmp_path / "2T.json").exists()
+
+
+def test_table_derivation_error_is_internal(capsys, monkeypatch):
+    # a checked group whose table cannot be derived is a fault of the
+    # library, not a failed verification: exit 3, no traceback
+    def broken(G):
+        raise TableDerivationError(f"{G.name}: 0 names fit the reference rows")
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    code, out, err = run(capsys, "group", "2T", "chartab")
+    assert code == 3 and out == ""
+    assert err == "internal contract violation: 2T: 0 names fit the reference rows\n"
 
 
 def test_cache_naming_a_regular_file_is_a_usage_error(capsys, tmp_path):
