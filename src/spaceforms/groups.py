@@ -298,6 +298,7 @@ class FiniteGroup:
         self._cyclic_subgroups = {}
         self._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
         self._induced_twists = {}      # (gen, r mod q) -> decomposition
+        self._induced_characters = {}  # (gen, r mod q) -> Ind omega^r
         self._tree = None
 
     @staticmethod

@@ -49,6 +49,13 @@ def induce_character(H: SubgroupHandle, chi) -> ClassFunction:
     return ClassFunction(G, vals)
 
 
+def _twist_character(G: FiniteGroup, gen: str, r: int) -> ClassFunction:
+    """Ind(omega^r) from <gen> for r reduced mod q, kept on G per key."""
+    if (gen, r) not in G._induced_characters:
+        G._induced_characters[gen, r] = induce_character(G.cyclic_subgroup(gen), r)
+    return G._induced_characters[gen, r]
+
+
 def frobenius_multiplicity(A, H: SubgroupHandle, chi) -> int:
     """n(A, Ind chi), computed on both sides of the reciprocity identity
     <A, Ind chi>_G = <Sub A, chi>_H; the two must agree exactly."""
@@ -104,11 +111,12 @@ def induce_twist(G: FiniteGroup, gen: str, r: int) -> InducedDecomposition:
         return G._induced_twists[gen, r]
     table = character_table(G)
     chi = cyclic_character(H, r)
-    induced = induce_character(H, chi)
+    induced = _twist_character(G, gen, r)
     via_formula = {ir.name: inner_product_int(ir.char, induced) for ir in table}
     via_reciprocity = {ir.name: inner_product_int(restrict(ir.char, H), chi)
                        for ir in table}
     if via_formula != via_reciprocity:
+        del G._induced_characters[gen, r]      # a failed key keeps nothing
         raise ContractViolation(
             f"induced-character formula and reciprocity disagree for "
             f"{r}^({gen}) on {G.name}")
@@ -341,9 +349,8 @@ def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> bool:
     every generator s on an edge of G's spanning tree; once the tree
     covers G, each element is a word in those generators, so
     D(a) D(b) = D(ab) follows for all pairs."""
-    H = G.cyclic_subgroup(gen)
     rep = induced_matrices(G, gen, r)
-    if rep.character() != induce_character(H, r):
+    if rep.character() != _twist_character(G, gen, r % rep.subgroup.order):
         return False
     e, n = G.identity_index, rep.cosets.count
     gens = {G.generators[g] for g, _ in filter(None, G.tree.values())}

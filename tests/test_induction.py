@@ -286,3 +286,21 @@ def test_induce_twist_checks_both_routes_once_per_key(g2t, monkeypatch):
     assert dec.as_dict() == induce_twist(g2t, "T", 1).as_dict()
     assert induce_twist(G, "T", 1 + G.cyclic_subgroup("T").order) is dec
     assert G._induced_twists == {("T", 1): dec}
+
+
+def test_induced_character_is_computed_once_per_key(g2t, monkeypatch):
+    # induce_twist and verify_monomial_rep read one Ind(omega^r) per
+    # (gen, r mod q), whichever runs first; the group drops it on reset
+    G = group_from_json(group_to_json(g2t))
+    q = G.cyclic_subgroup("T").order
+    calls = []
+    real_induce = induction.induce_character
+    monkeypatch.setattr(induction, "induce_character",
+                        lambda H, chi: calls.append(chi) or real_induce(H, chi))
+    assert induction.verify_monomial_rep(G, "T", 1)
+    assert induce_twist(G, "T", 1 + q) == induce_twist(g2t, "T", 1)
+    assert induction.verify_monomial_rep(G, "T", 1 - q)
+    assert len(calls) == 1
+    G._reset_derived()
+    induce_twist(G, "T", 1)
+    assert len(calls) == 2
