@@ -14,6 +14,16 @@ It also reads every traced result file `<workload>-<seed>-trace1.json` and
 writes, under `trace_counts`, per workload, code digest and seed, the exact
 work counts of its per-layer metrics: every `*_calls` count and
 `spectra.levels`.  For one seed they do not depend on the machine's speed.
+
+When checkouts are labelled `parent` and `change`, it also writes, under
+`verdicts`, each end-to-end metric of each workload as `better`, `within`,
+`worse` or `unresolved` against its bound in BENCHMARK.json (a share of the
+parent's median): unresolved when the parent's own quartile spread,
+(q3 - q1) / median, is wider than the bound; otherwise better or worse when
+the change's median moves the metric's way or against it by more than the
+bound.  Under `trace_diff` it writes, per workload and per seed that both
+sides traced, each work count that differs as the change's count minus the
+parent's; an empty map means equal counts.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ import json
 import os
 import statistics
 import sys
+
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "BENCHMARK.json")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -77,15 +90,60 @@ def summarise(runs: list[dict]) -> dict:
     return out
 
 
+def verdicts(runs: list[dict], bounds: list[dict]) -> dict:
+    """workload -> metric -> the change against the parent (module doc)."""
+    out: dict = {}
+    for workload in sorted({run["workload"] for run in runs}):
+        side = {label: [run["end_to_end"] for run in runs
+                        if run["workload"] == workload and run["label"] == label]
+                for label in ("parent", "change")}
+        for metric in bounds:
+            name, bound = metric["name"], metric["bound"]
+            values = {label: [e2e[name] for e2e in side[label] if name in e2e]
+                      for label in side}
+            if not all(values.values()):
+                continue
+            parent = quartiles(values["parent"])
+            change = quartiles(values["change"])["median"]
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            worse_by = (change - parent["median"]) / parent["median"]
+            if metric["better"] == "higher":
+                worse_by = -worse_by
+            label = ("unresolved" if spread > bound else "worse" if worse_by > bound
+                     else "better" if -worse_by > bound else "within")
+            out.setdefault(workload, {})[name] = {
+                "label": label, "bound": bound, "parent_spread": spread,
+                "change_worse_by": worse_by}
+    return out
+
+
+def work_counts(doc: dict) -> dict:
+    return {m: v for m, v in doc["per_layer"].items()
+            if m.endswith("_calls") or m == "spectra.levels"}
+
+
 def trace_counts(docs: list[dict]) -> dict:
     """workload -> src_sha256 -> seed -> the exact work counts of one run."""
     out: dict = {}
     for doc in docs:
         prov = doc["provenance"]
         by_seed = out.setdefault(doc["workload"], {}).setdefault(prov["src_sha256"], {})
-        by_seed[str(prov["seed"])] = {
-            m: v for m, v in doc["per_layer"].items()
-            if m.endswith("_calls") or m == "spectra.levels"}
+        by_seed[str(prov["seed"])] = work_counts(doc)
+    return out
+
+
+def trace_diff(labelled: list[tuple[str, dict]]) -> dict:
+    """workload -> seed -> metric -> change count minus parent count."""
+    counts = {(label, doc["workload"], str(doc["provenance"]["seed"])): work_counts(doc)
+              for label, doc in labelled}
+    out: dict = {}
+    for (label, workload, seed), change in sorted(counts.items()):
+        parent = counts.get(("parent", workload, seed))
+        if label == "change" and parent is not None:
+            out.setdefault(workload, {})[seed] = {
+                m: change.get(m, 0) - parent.get(m, 0)
+                for m in sorted(parent.keys() | change.keys())
+                if change.get(m, 0) != parent.get(m, 0)}
     return out
 
 
@@ -99,15 +157,19 @@ def main(argv=None) -> int:
     for arg in args.checkouts:
         label, _, checkout = arg.rpartition("=")
         runs += load_runs(label or checkout, checkout)
-        traces += load_docs(checkout, 1)
+        traces += [(label or checkout, doc) for doc in load_docs(checkout, 1)]
     if not runs and not traces:
         print("error: no .perfbench_out/*-trace[01].json in the given checkouts",
               file=sys.stderr)
         return 2
+    with open(BENCHMARK) as fh:
+        bounds = json.load(fh)["end_to_end"]
     path = f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump({"pr": args.pr, "workloads": summarise(runs),
-                   "trace_counts": trace_counts(traces)}, fh, indent=1, sort_keys=True)
+                   "verdicts": verdicts(runs, bounds),
+                   "trace_counts": trace_counts([doc for _, doc in traces]),
+                   "trace_diff": trace_diff(traces)}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(path)
     return 0
