@@ -62,16 +62,19 @@ def test_groups_runs_by_workload_and_code(bench_summary, tmp_path, monkeypatch):
 
 def test_labels_each_metric_against_its_bound(bench_summary, tmp_path, monkeypatch):
     # work_per_s: higher is better, bound 0.25 of the parent's median;
-    # setup_s: lower is better, and the parent's own spread decides first
+    # setup_s: lower is better, and a parent spread of 0.2 / 0.55 is wider
+    # than the bound, so only a change whose every run is faster resolves
     monkeypatch.chdir(tmp_path)
     fewer = {**COUNTS, "characters.inner_product_calls": 9000}
-    for workload, change in (("cold-cli", 7.0), ("deep-spectrum", 13.0),
-                             ("verify-harness", 11.0)):
+    for workload, change, change_setup in (("cold-cli", 7.0, 0.5),
+                                           ("deep-spectrum", 13.0, 0.5),
+                                           ("verify-harness", 11.0, 0.45)):
+        wide = workload != "deep-spectrum"
         for seed, setup in enumerate((0.5, 0.5, 0.6, 1.0), start=1):
             write_run(tmp_path / "a", workload, seed, "aaa", 10.0,
-                      setup_s=setup if workload == "cold-cli" else 0.5)
+                      setup_s=setup if wide else 0.5)
             write_run(tmp_path / "b", workload, seed, "bbb", change,
-                      counts=fewer if seed == 2 else COUNTS)
+                      setup_s=change_setup, counts=fewer if seed == 2 else COUNTS)
     assert bench_summary.main(["--pr", "9", f"parent={tmp_path / 'a'}",
                                f"change={tmp_path / 'b'}"]) == 0
     doc = json.loads((tmp_path / "BENCH_9.json").read_text())
@@ -80,7 +83,7 @@ def test_labels_each_metric_against_its_bound(bench_summary, tmp_path, monkeypat
     assert labels == {
         "cold-cli": {"work_per_s": "worse", "setup_s": "unresolved"},
         "deep-spectrum": {"work_per_s": "better", "setup_s": "within"},
-        "verify-harness": {"work_per_s": "within", "setup_s": "within"}}
+        "verify-harness": {"work_per_s": "within", "setup_s": "better"}}
     cold = doc["verdicts"]["cold-cli"]
     assert cold["work_per_s"]["change_worse_by"] == pytest.approx(0.3)
     assert cold["setup_s"]["parent_spread"] == pytest.approx(0.2 / 0.55)

@@ -19,9 +19,10 @@ When checkouts are labelled `parent` and `change`, it also writes, under
 `verdicts`, each end-to-end metric of each workload as `better`, `within`,
 `worse` or `unresolved` against its bound in BENCHMARK.json (a share of the
 parent's median): unresolved when the parent's own quartile spread,
-(q3 - q1) / median, is wider than the bound; otherwise better or worse when
-the change's median moves the metric's way or against it by more than the
-bound.  Under `trace_diff` it writes, per workload and per seed that both
+(q3 - q1) / median, is wider than the bound, unless every run of the
+change is better than every run of the parent (then better); otherwise
+better or worse when the change's median moves the metric's way or against
+it by more than the bound.  Under `trace_diff` it writes, per workload and per seed that both
 sides traced, each work count that differs as the change's count minus the
 parent's; an empty map means equal counts.
 """
@@ -109,8 +110,14 @@ def verdicts(runs: list[dict], bounds: list[dict]) -> dict:
             worse_by = (change - parent["median"]) / parent["median"]
             if metric["better"] == "higher":
                 worse_by = -worse_by
-            label = ("unresolved" if spread > bound else "worse" if worse_by > bound
-                     else "better" if -worse_by > bound else "within")
+                every_run_better = min(values["change"]) > max(values["parent"])
+            else:
+                every_run_better = max(values["change"]) < min(values["parent"])
+            if spread > bound:
+                label = "better" if every_run_better else "unresolved"
+            else:
+                label = ("worse" if worse_by > bound
+                         else "better" if -worse_by > bound else "within")
             out.setdefault(workload, {})[name] = {
                 "label": label, "bound": bound, "parent_spread": spread,
                 "change_worse_by": worse_by}
