@@ -169,10 +169,10 @@ def _walk(start, gens, step):
 
 
 def _closure(gens: list[Quat]):
-    """Walk from the identity by left multiplication; returns elements in
-    discovery order and the left-multiplication rows of every element
-    (composed along the walk's tree, so only the |gens|*|G| quaternion
-    products of the walk itself are needed), and each generator's index."""
+    """Walk from the identity by left multiplication.  Returns the elements
+    in discovery order, every element's left-multiplication row (composed
+    along the walk's tree, so only the |gens|*|G| quaternion products of
+    the walk itself are needed) and each generator's index."""
     elements, parent, action = _walk(QUAT_ONE, gens, lambda g, x: g * x)
     left = [list(range(len(elements)))]
     for k, src in parent[1:]:
