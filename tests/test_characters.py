@@ -259,6 +259,24 @@ def test_names_follow_the_defining_representation(monkeypatch, all_groups):
                     character_table(K)
 
 
+def test_a_class_function_held_across_an_adoption_keeps_its_group(g2o):
+    # adopting a triple returns a new group; chi_1/2 made before it stays
+    # on the old group, which keeps its generators, classes and caches,
+    # instead of being read against the new class order
+    K = groups.find_index2_subgroup(g2o).group
+    chi = spin_character(K, 1)
+    before = (dict(K.generators), K.presentation, K.classes, K.class_labels)
+    A = groups.adopt_presentation_triple(K, 2, 3, 3)
+    assert A is not K and A.elements == K.elements and A.mult == K.mult
+    assert (dict(K.generators), K.presentation, K.classes, K.class_labels) == before
+    assert spin_character(K, 1) is chi
+    two_s = character_table(A)["2s"].char
+    with pytest.raises(ValueError, match="live on different groups"):
+        inner_product(chi, two_s)
+    assert inner_product_int(spin_character(A, 1), two_s) == 1
+    assert inner_product_int(chi, chi) == 1
+
+
 def test_alternate_triple_same_labeled_tables():
     from spaceforms.induction import induction_table
     from spaceforms.spectra import degeneracy_series

@@ -115,6 +115,30 @@ def test_spectrum_weight_needs_param(capsys):
     assert code == 2 and "--param" in err
 
 
+def test_counting_past_the_series_is_refused(capsys):
+    # a count to lambda = 10000 needs levels up to n = 99; ten levels used
+    # to print 1.0 with exit 0, where the true count is 2736
+    code, out, err = run(capsys, "spectrum", "2I", "--irrep", "1", "--nmax", "10",
+                         "--weight", "counting", "--param", "10000",
+                         "--format", "json")
+    assert code == 2 and out == "" and "--nmax 99" in err
+    counts = []
+    for nmax in ("99", "400"):
+        code, out, _ = run(capsys, "spectrum", "2I", "--irrep", "1", "--nmax", nmax,
+                           "--weight", "counting", "--param", "10000",
+                           "--format", "json")
+        assert code == 0
+        counts.append(json.loads(out)["weighted_sum"]["value"])
+    assert counts == [2736.0, 2736.0]
+
+
+def test_csv_refuses_a_weight(capsys):
+    # csv holds the series only; a requested sum used to be dropped silently
+    code, out, err = run(capsys, "spectrum", "2T", "--irrep", "1", "--nmax", "3",
+                         "--weight", "heat", "--param", "0.5", "--format", "csv")
+    assert code == 2 and out == "" and "--weight" in err and "csv" in err
+
+
 def test_json_documents_deterministic(capsys):
     one = run(capsys, "group", "2T", "classes", "--format", "json")
     two = run(capsys, "group", "2T", "classes", "--format", "json")
