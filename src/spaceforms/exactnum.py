@@ -243,20 +243,6 @@ class CycloNum:
                             self.den * q.numerator)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers need an inverse; Q(zeta_120) "
-                             "values divide by rationals only")
-        out = CycloNum.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     # -- Galois action -----------------------------------------------
 
     def galois(self, k: int) -> "CycloNum":

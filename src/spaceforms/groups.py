@@ -5,7 +5,9 @@ The groups <l,m,n>: R^l = S^m = T^n = RST for (l,m,n) = (2,3,3), (2,3,4),
 whose coordinates live in Q(zeta_120).  Everything downstream (classes,
 characters, inductions, spectra) works from the integer multiplication
 table built here, so group construction also validates the presentation
-relations exactly before returning.
+relations exactly before returning.  A group is a value: nothing changes
+its generators, presentation or classes after construction
+(`adopt_presentation_triple` returns a new group).
 
 The generator constants below are not taken on trust: any triple passing
 the relation checks is acceptable, and `generator_triple(..., variant=1)`
@@ -262,9 +264,10 @@ class FiniteGroup:
     """An enumerated finite subgroup of SU(2).
 
     Carries the multiplication table, inverses, conjugacy classes with
-    canonical labels, and the distinguished generators.  Treated as
-    immutable once built; derived data (character table, spin
-    characters, subgroups) is cached on the instance.
+    canonical labels, and the distinguished generators.  A group is a
+    value: `_make` fixes its generators, presentation and classes, and
+    derived data (character table, spin characters, subgroups) is cached
+    on the instance in caches that start empty and only grow.
     """
 
     @staticmethod
@@ -285,31 +288,28 @@ class FiniteGroup:
         g.neg_identity_index = g.index.get(-QUAT_ONE)
         g.inv = tuple(row.index(0) for row in g.mult)
         g.orders = g._element_orders()
-        g._conjugacy()
-        g._reset_derived()
+        (g.classes, g.class_of, g.class_labels, g.class_reps, g.class_aliases,
+         g.class_by_label) = g._conjugacy()
+        g.class_sizes = tuple(map(len, g.classes))
+        g._char_table = None
+        g._spin_chars = {}          # 2j -> spin character (characters)
+        g._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
+        g._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
+        g._cyclic_subgroups = {}
+        g._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
+        g._induced_twists = {}      # (gen, r mod q) -> decomposition
+        g._induced_characters = {}  # (gen, r mod q) -> Ind omega^r
+        g._tree = None
         return g
 
-    def _reset_derived(self):
-        """Drop every cache derived from the classes or the generators."""
-        self._char_table = None
-        self._spin_chars = {}          # 2j -> spin character (characters)
-        self._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
-        self._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
-        self._cyclic_subgroups = {}
-        self._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
-        self._induced_twists = {}      # (gen, r mod q) -> decomposition
-        self._induced_characters = {}  # (gen, r mod q) -> Ind omega^r
-        self._tree = None
-
     @staticmethod
-    def from_generators(name, gens: dict[str, Quat], presentation=None):
+    def from_generators(name, gens: dict[str, Quat]):
         for label, gen in gens.items():
             if not gen.is_unit():
                 raise GroupConstructionError(
                     f"generator {label} is not a unit quaternion")
         elements, left, at = _closure(list(gens.values()))
-        return FiniteGroup._make(name, elements, left, dict(zip(gens, at)),
-                                 presentation=presentation)
+        return FiniteGroup._make(name, elements, left, dict(zip(gens, at)))
 
     @staticmethod
     def _from_parent(parent: "FiniteGroup", parent_indices: list[int], name,
@@ -351,10 +351,8 @@ class FiniteGroup:
             orders.append(n)
         return tuple(orders)
 
-    def conjugate_element(self, g: int, x: int) -> int:
-        return self.mult[self.mult[g][x]][self.inv[g]]
-
     def _conjugacy(self):
+        """Classes in canonical order, class_of, labels, reps, aliases, by_label."""
         n = len(self.elements)
         t, inv = self.mult, self.inv
         class_of_raw = [-1] * n
@@ -427,15 +425,13 @@ class FiniteGroup:
                 claim(cid, f"c{self.orders[e]}_{e}", e)
 
         remap = {cid: pos for pos, cid in enumerate(order)}
-        self.classes = tuple(raw_classes[cid] for cid in order)
-        self.class_of = tuple(remap[class_of_raw[x]] for x in range(n))
-        self.class_labels = tuple(labels[cid] for cid in order)
-        self.class_reps = tuple(reps[cid] for cid in order)
-        self.class_sizes = tuple(len(c) for c in self.classes)
-        self.class_aliases = aliases
-        self.class_by_label = {lab: i for i, lab in enumerate(self.class_labels)}
+        by_label = {labels[cid]: pos for pos, cid in enumerate(order)}
         for alias, primary in aliases.items():
-            self.class_by_label.setdefault(alias, self.class_by_label[primary])
+            by_label.setdefault(alias, by_label[primary])
+        return (tuple(raw_classes[cid] for cid in order),
+                tuple(remap[class_of_raw[x]] for x in range(n)),
+                tuple(labels[cid] for cid in order),
+                tuple(reps[cid] for cid in order), aliases, by_label)
 
     @property
     def num_classes(self) -> int:
@@ -525,9 +521,11 @@ def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
         raise GroupConstructionError(f"T is not the rotation by pi/{n}")
 
     name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
-    G = FiniteGroup.from_generators(name, {"R": R, "S": S, "T": T},
-                                    presentation=(2, 3, n))
-    G.generators["RST"] = G.index[rst]
+    # RST is named but not walked: the walk order fixes the element order
+    elements, left, (r, s, t) = _closure([R, S, T])
+    G = FiniteGroup._make(name, elements, left,
+                          {"R": r, "S": s, "T": t, "RST": left[left[r][s]][t]},
+                          presentation=(2, 3, n))
     # |<2,3,n>| = 4 / (1/2 + 1/3 + 1/n - 1)
     expected_order = 24 * n // (6 - n)
     if len(G) != expected_order:
@@ -611,14 +609,14 @@ def find_presentation_triple(G: FiniteGroup, l: int, m: int, n: int):
     raise LookupError(f"no presentation triple <{l},{m},{n}> found in {G.name}")
 
 
-def adopt_presentation_triple(G: FiniteGroup, l: int, m: int, n: int) -> None:
-    """Install searched generators R, S, T on a group that lacks them."""
+def adopt_presentation_triple(G: FiniteGroup, l: int, m: int, n: int) -> FiniteGroup:
+    """G with searched generators R, S, T: a new group on the same
+    elements and table, with classes labelled by the new generators.
+    G itself is unchanged."""
     r, s, t = find_presentation_triple(G, l, m, n)
-    G.generators.update({"R": r, "S": s, "T": t,
-                         "RST": G.mult[G.mult[r][s]][t]})
-    G.presentation = (l, m, n)
-    G._conjugacy()   # relabel classes with the new generators
-    G._reset_derived()
+    gens = {**G.generators, "R": r, "S": s, "T": t, "RST": G.mult[G.mult[r][s]][t]}
+    return FiniteGroup._make(G.name, G.elements, G.mult, gens, presentation=(l, m, n),
+                             to_parent=G.to_parent, from_parent=G.from_parent)
 
 
 def verify_generator_conjugations(G: FiniteGroup) -> list[tuple[str, bool, str]]:

@@ -134,22 +134,11 @@ def induce_twist(G: FiniteGroup, gen: str, r: int) -> InducedDecomposition:
 def induction_table(G: FiniteGroup, gen: str) -> list[InducedDecomposition]:
     """All rows r = 0..q-1 for the cyclic subgroup <gen>.
 
-    Twist indices are kept un-collapsed; use `reflection_identities` to
-    see which rows coincide.  (r and q-r always coincide when gen is
-    conjugate to its inverse; in the tetrahedral group the T and S rows
-    pair across the two subgroups instead.)"""
+    Twist indices are kept un-collapsed: rows r and q-r coincide when gen
+    is conjugate to its inverse, and in the tetrahedral group the T and S
+    rows pair across the two subgroups instead."""
     H = G.cyclic_subgroup(gen)
     return [induce_twist(G, gen, r) for r in range(H.order)]
-
-
-def reflection_identities(G: FiniteGroup, gen: str):
-    """(r, q-r, coincide?) for every twist; records where the column
-    entries start repeating."""
-    rows = induction_table(G, gen)
-    q = len(rows)
-    return [(r, (q - r) % q,
-             rows[r].constituents == rows[(q - r) % q].constituents)
-            for r in range(q)]
 
 
 def independent_rows(rows: list[InducedDecomposition]) -> list[int]:
@@ -300,20 +289,6 @@ class MonomialRep:
         """D(g1) D(g2) == D(g1 g2), compared through the unique coset
         factorization (hence exact)."""
         return self.compose(g1, g2) == self.data[self.group.mult[g1][g2]]
-
-    def matrix(self, g: int):
-        """Materialize D(g) as a dense degree x degree CycloNum matrix."""
-        n = self.cosets.count
-        d = self.block_dim
-        out = [[ZERO] * (n * d) for _ in range(n * d)]
-        perm, hs = self.data[g]
-        for i in range(n):
-            j = perm[i]
-            block = self.blocks[hs[i]]
-            for a in range(d):
-                for b in range(d):
-                    out[j * d + a][i * d + b] = block[a][b]
-        return out
 
     def character(self) -> ClassFunction:
         vals = []

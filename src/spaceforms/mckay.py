@@ -33,12 +33,6 @@ class McKayGraph:
     adjacency: tuple        # tuple of tuples, non-negative ints
     ade_name: str
 
-    def degree(self, i: int) -> int:
-        return sum(self.adjacency[i])
-
-    def degree_sequence(self) -> list[int]:
-        return sorted(self.degree(i) for i in range(len(self.nodes)))
-
     def mark_equation_holds(self) -> bool:
         k = len(self.nodes)
         return all(2 * self.marks[i] == sum(self.adjacency[i][j] * self.marks[j]
@@ -143,13 +137,6 @@ class CompactifiedDiagram:
     @property
     def arc_sizes(self) -> dict:
         return {gen: len(arc) for gen, arc in self.arcs.items()}
-
-    @property
-    def internal_node_count(self) -> int:
-        return len({lab for arc in self.arcs.values() for lab in arc})
-
-    def node_count(self) -> int:
-        return self.internal_node_count + 2
 
     def relink_arm_lengths(self, keep: str) -> list[int]:
         """Cut the two arcs other than `keep` loose at the antipodal

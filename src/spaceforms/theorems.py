@@ -380,38 +380,6 @@ def _induced_span_rank(G: FiniteGroup, gens) -> int:
     return len(_rref(rows, None)[1])
 
 
-def verify_solved_system_consistency(G: FiniteGroup, sector: str,
-                                     n_max: int = 24) -> CheckResult:
-    """Every equation not used by the solver must be implied by the
-    solved quantities: residuals vanish at degeneracy level."""
-    _, rhs, _ = reference_system(G, sector)
-    sol = solve_irrep_quantities(G, sector, rhs)
-    irreps = sector_irreps(G, sector)
-    basis = [lens_series(G, gen, r, n_max).entries for r, gen in rhs]
-    solved = {}
-    for i, ir in enumerate(irreps):
-        solved[ir.name] = [
-            sum(sol.matrix[i][b] * Fraction(basis[b][n]) for b in range(len(rhs)))
-            for n in range(n_max + 1)
-        ]
-    for gen in GENERATORS:
-        H = G.cyclic_subgroup(gen)
-        parity = 1 if sector == "spinor" else 0
-        for r in range(H.order):
-            if H.group.neg_identity_index is not None and r % 2 != parity:
-                continue
-            dec = induce_twist(G, gen, r).as_dict()
-            lhs = lens_series(G, gen, r, n_max).entries
-            for n in range(n_max + 1):
-                val = sum(dec.get(ir.name, 0) * solved[ir.name][n]
-                          for ir in irreps)
-                if val != lhs[n]:
-                    return CheckResult(
-                        f"{G.name}:system_consistency:{sector}", False,
-                        f"equation {r};{gen} residual at level {n}")
-    return CheckResult(f"{G.name}:system_consistency:{sector}", True)
-
-
 # -- the verify items -----------------------------------------------------
 # One function (groups, n_max) -> [CheckResult] per item.  VERIFY_ITEMS lists
 # them in report order with the group selectors each reads; the caller

@@ -240,7 +240,6 @@ def test_names_follow_the_defining_representation(monkeypatch, all_groups):
     # each triple fits the reference rows, but on 2O and 2I only the inner
     # class with tr T = 2cos(pi/n) names the characters the way the
     # embedding does; the other class (tr T = 2cos(3pi/n)) must be refused
-    from spaceforms.groups import group_from_json, group_to_json
     for G in all_groups:
         triples = _presentation_triples(G)
         assert len(triples) == {"2T": 24, "2O": 48, "2I": 120}[G.name]
@@ -248,9 +247,8 @@ def test_names_follow_the_defining_representation(monkeypatch, all_groups):
         if G.name != "2T":
             triples = [next(tr for tr in triples if G.elements[tr[2]].trace() != tr_t)]
         for triple in triples:
-            K = group_from_json(group_to_json(G))
             monkeypatch.setattr(groups, "find_presentation_triple", lambda *_: triple)
-            groups.adopt_presentation_triple(K, *G.presentation)
+            K = groups.adopt_presentation_triple(G, *G.presentation)
             if G.name == "2T":
                 assert character_table(K)["2s"].char == spin_character(K, 1)
             else:

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,13 +14,13 @@ def test_conductor_basics():
     assert CONDUCTOR == 120
     assert root_of_unity(1, 0) == ONE
     assert root_of_unity(120, 120) == ONE
-    assert root_of_unity(120, 1) ** 120 == ONE
+    assert math.prod([root_of_unity(120, 1)] * 120, start=ONE) == ONE
 
 
 def test_root_of_unity_orders():
     z = root_of_unity(8, 1)
-    for k in range(1, 8):
-        assert (z ** k == ONE) == (k % 8 == 0)
+    for k in range(1, 9):
+        assert (math.prod([z] * k, start=ONE) == ONE) == (k % 8 == 0)
     assert root_of_unity(12, 5) == root_of_unity(120, 50)
 
 
@@ -72,9 +73,8 @@ def test_division_is_by_rationals_only():
         ONE / z8
     with pytest.raises(TypeError):
         1 / z8
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         z8 ** -1
-    assert z8 ** 0 == ONE and z8 ** 8 == ONE
 
 
 def test_equality_is_subtraction_zero():

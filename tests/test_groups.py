@@ -44,9 +44,10 @@ def test_spanning_tree_covers_built_loaded_and_subgroup_instances(all_groups):
 def test_adopting_a_triple_rebuilds_the_tree(g2o):
     K = find_index2_subgroup(g2o).group
     assert K.tree == {0: None}          # no generators yet
-    groups.adopt_presentation_triple(K, 2, 3, 3)
-    assert len(K.tree) == len(K)
-    assert {g for g, _ in list(K.tree.values())[1:]} <= {"R", "S", "T"}
+    A = groups.adopt_presentation_triple(K, 2, 3, 3)
+    assert len(A.tree) == len(A)
+    assert {g for g, _ in list(A.tree.values())[1:]} <= {"R", "S", "T"}
+    assert K.tree == {0: None} and K.generators == {}    # K is unchanged
 
 
 def test_orders_and_class_counts(all_groups):
@@ -264,16 +265,18 @@ def test_alternate_triple_gives_same_structure():
 
 
 def test_adopt_presentation_triple_resets_class_indexed_caches(g2o):
-    # adopting generators reorders the classes, so every cache indexed by
-    # class (here a spin character built before the adoption) must go
+    # adopting generators reorders the classes, so the adopted group must
+    # start without the class-indexed caches of the group it came from
+    # (here a spin character built before the adoption), which keeps them
     from spaceforms import spectra
     from spaceforms.characters import spin_character
     K = find_index2_subgroup(g2o).group
-    spin_character(K, 3)
-    groups.adopt_presentation_triple(K, 2, 3, 3)
-    assert [spectra.degeneracy(K, "2s", n) for n in range(4)] == [0, 2, 0, 0]
-    assert spin_character(K, 1).values == tuple(
-        K.elements[rep].trace() for rep in K.class_reps)
+    chi3 = spin_character(K, 3)
+    A = groups.adopt_presentation_triple(K, 2, 3, 3)
+    assert [spectra.degeneracy(A, "2s", n) for n in range(4)] == [0, 2, 0, 0]
+    assert spin_character(A, 1).values == tuple(
+        A.elements[rep].trace() for rep in A.class_reps)
+    assert spin_character(K, 3) is chi3 and K.presentation is None
 
 
 def test_cached_table_with_swapped_entries_is_rejected(g2t, tmp_path):

@@ -2,8 +2,9 @@ import pytest
 
 from spaceforms import groups, induction
 from spaceforms._reference_tables import REFERENCE_INDUCTIONS
-from spaceforms.characters import (character_table, inner_product_int,
-                                   regular_character, trivial_character)
+from spaceforms.characters import (ClassFunction, character_table,
+                                   inner_product_int, regular_character,
+                                   trivial_character)
 from spaceforms.exactnum import ONE
 from spaceforms.groups import (ContractViolation, adopt_presentation_triple,
                                find_index2_subgroup, group_from_json,
@@ -12,8 +13,7 @@ from spaceforms.induction import (MonomialRep, column_sum_is_regular,
                                   frobenius_multiplicity, induce_character,
                                   induce_in_stages, induce_twist,
                                   induced_matrices, induction_table,
-                                  independent_rows, nested_handle,
-                                  reflection_identities)
+                                  independent_rows, nested_handle)
 
 
 def test_reference_tables_reproduced(all_groups):
@@ -77,7 +77,9 @@ def test_dimension_bookkeeping(all_groups):
 def test_reflection_identities(all_groups):
     for G in all_groups:
         for gen in ("R", "S", "T", "RST"):
-            refl = reflection_identities(G, gen)
+            rows = [row.constituents for row in induction_table(G, gen)]
+            refl = [(r, -r % len(rows), rows[r] == rows[-r % len(rows)])
+                    for r in range(len(rows))]
             if G.name == "2T" and gen in ("S", "T"):
                 # cross-linked: the reflection pairs the S and T columns
                 # instead of folding each column onto itself
@@ -104,13 +106,17 @@ def test_independent_rows_match_ceasing_convention(g2o):
 
 def test_induce_in_stages_through_index2(g2o):
     K = find_index2_subgroup(g2o)
-    adopt_presentation_triple(K.group, 2, 3, 3)
     H = g2o.cyclic_subgroup("S")
     assert set(H.member_indices) <= set(K.member_indices)
     res = induce_in_stages(g2o, K, H, 4)
     assert res["equal"]
-    ktab = character_table(K.group)
-    middle = {ir.name: inner_product_int(ir.char, res["middle"]) for ir in ktab}
+    # name the middle stage with K's table under a searched (2,3,3) triple:
+    # the adopted group has K's elements in K's order, so the character
+    # carries over element by element
+    A = adopt_presentation_triple(K.group, 2, 3, 3)
+    middle = ClassFunction(A, map(res["middle"].value_on_element, A.class_reps))
+    ktab = character_table(A)
+    middle = {ir.name: inner_product_int(ir.char, middle) for ir in ktab}
     assert {k: v for k, v in middle.items() if v} == {"1''": 1, "3": 1}
     gtab = character_table(g2o)
     final = {ir.name: inner_product_int(ir.char, res["staged"]) for ir in gtab}
@@ -146,13 +152,13 @@ def test_nested_handle_rejects_non_subsets(g2o):
 def test_monomial_rep_structure(g2t):
     rep = induced_matrices(g2t, "R", 1)
     assert rep.degree == 6 and rep.block_dim == 1
-    mat = rep.matrix(g2t.generators["S"])
-    for row in range(6):
-        assert sum(1 for c in range(6) if not mat[row][c].is_zero()) == 1
-    for col in range(6):
-        nz = [mat[r][col] for r in range(6) if not mat[r][col].is_zero()]
-        assert len(nz) == 1
-        assert (nz[0] * nz[0].conjugate()) == ONE   # a root of unity
+    # D(S) sends block column i to block row perm[i] with the 1x1 block
+    # B(h_i): one nonzero entry per row and column, each a root of unity
+    perm, hs = rep.data[g2t.generators["S"]]
+    assert sorted(perm) == list(range(6))
+    for h in hs:
+        ((value,),) = rep.blocks[h]
+        assert value * value.conjugate() == ONE
 
 
 def test_monomial_rep_homomorphism_exhaustive(g2t):
@@ -290,7 +296,7 @@ def test_induce_twist_checks_both_routes_once_per_key(g2t, monkeypatch):
 
 def test_induced_character_is_computed_once_per_key(g2t, monkeypatch):
     # induce_twist and verify_monomial_rep read one Ind(omega^r) per
-    # (gen, r mod q), whichever runs first; the group drops it on reset
+    # (gen, r mod q), whichever runs first; a fresh copy computes its own
     G = group_from_json(group_to_json(g2t))
     q = G.cyclic_subgroup("T").order
     calls = []
@@ -301,6 +307,6 @@ def test_induced_character_is_computed_once_per_key(g2t, monkeypatch):
     assert induce_twist(G, "T", 1 + q) == induce_twist(g2t, "T", 1)
     assert induction.verify_monomial_rep(G, "T", 1 - q)
     assert len(calls) == 1
-    G._reset_derived()
+    G = group_from_json(group_to_json(g2t))
     induce_twist(G, "T", 1)
     assert len(calls) == 2
