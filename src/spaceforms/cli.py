@@ -158,6 +158,15 @@ def cmd_spectrum(args) -> int:
     _check_nmax(args)
     if args.param is not None and not math.isfinite(args.param):
         raise UsageError(f"--param must be finite, got {args.param}")
+    if args.weight != "none" and args.format == "csv":
+        raise UsageError("--format csv holds the series only; "
+                         f"--weight {args.weight} needs text or json")
+    if args.weight == "counting" and args.param is not None:
+        # the last level with n(n+2) <= lambda is isqrt(floor(lambda) + 1) - 1
+        need = math.isqrt(max(math.floor(args.param) + 1, 0)) - 1
+        if args.nmax < need:
+            raise UsageError(f"counting to eigenvalue {args.param} needs levels "
+                             f"up to {need}: pass --nmax {need} or more")
     G = resolve_group(args.selector, args.cache)
     target, twist = _parse_twist(args, G)
     series = spectra.degeneracy_series(target, twist, args.nmax)

@@ -335,10 +335,10 @@ def lens_torsion(q: int, r: int) -> LensTorsion:
     if r % q == 0:
         raise ValueError("untwisted case unsupported (torsion convention differs)")
     exact = CycloNum.from_rational(2) - root_of_unity(q, r) - root_of_unity(q, -r)
-    z = exact.to_complex()
-    if abs(z.imag) > 1e-12 or z.real <= 0:
+    value = exact.to_complex().real
+    if exact != exact.conjugate() or value <= 0:
         raise ContractViolation("torsion value must be real positive")
-    return LensTorsion(q, r % q, exact, z.real, math.log(z.real))
+    return LensTorsion(q, r % q, exact, value, math.log(value))
 
 
 # -- numeric projector oracle --------------------------------------------
