@@ -3,21 +3,25 @@
 perfbench/golden.json pins the stdout digest and exit code of 36 CLI
 commands and the verdict of every verify check; the README examples it
 lacks are pinned here.  Each command runs in-process, so a change that
-alters any output byte fails tier-1 and not only the benchmark.
+alters any output byte fails tier-1 and not only the benchmark.  The
+library names that perfbench's tracer wraps are checked here as well.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import sys
 
 import pytest
 
 from spaceforms import cli
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                      "perfbench", "golden.json")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
+GOLDEN = os.path.join(PERFBENCH, "golden.json")
 
 README_DIGESTS = {
     "group Z6 chartab":
@@ -54,3 +58,19 @@ def test_verify_verdicts():
     got = [(i.key, i.passed) for i in cli._verify_items("all", 60, None)]
     assert len(got) == len(pinned) == 213
     assert dict(got) == dict(pinned)
+
+
+def test_perfbench_entry_points_exist(monkeypatch):
+    # the tracer wraps these names on the modules `import spaceforms.cli`
+    # loads, and counts these CycloNum methods; a missing one breaks it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)    # read-only
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}" for layer, names in tracer.ENTRY_POINTS.items()
+               for name in names
+               if not callable(getattr(sys.modules.get(f"spaceforms.{layer}"), name, None))]
+    assert missing == []
+    cyclo = sys.modules["spaceforms.exactnum"].CycloNum
+    assert set(tracer.COUNTED) <= set(vars(cyclo))
