@@ -296,9 +296,11 @@ class FiniteGroup:
         g._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
         g._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
         g._cyclic_subgroups = {}
+        g._mckay_adjacency = None       # McKay graph, table order (mckay)
         g._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
         g._induced_twists = {}      # (gen, r mod q) -> decomposition
         g._induced_characters = {}  # (gen, r mod q) -> Ind omega^r
+        g._coset_actions = {}       # subgroup members -> CosetAction (induction)
         g._tree = None
         return g
 

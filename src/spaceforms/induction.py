@@ -6,17 +6,22 @@ Frobenius reciprocity (subduction inner products on the subgroup) and
 once through the induced-character formula on the big group.  The two
 routes must agree exactly; each validates the other and the class
 transport maps.
+
+What does not depend on the induced character is paid once: the
+formula sums the character over H once, class by class, and the
+explicit matrices of every twist from one subgroup share one coset
+action, whose product check runs once on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product_int, regular_character, restrict)
 from .exactnum import ONE, ZERO
-from .groups import (ContractViolation, CosetDecomposition, FiniteGroup,
-                     SubgroupHandle, left_cosets)
+from .groups import ContractViolation, FiniteGroup, SubgroupHandle, left_cosets
 
 
 def _coerce_subgroup_character(H: SubgroupHandle, chi) -> ClassFunction:
@@ -30,23 +35,18 @@ def _coerce_subgroup_character(H: SubgroupHandle, chi) -> ClassFunction:
 
 
 def induce_character(H: SubgroupHandle, chi) -> ClassFunction:
-    """(Ind chi)(g) = (1/|H|) sum_{x in G} chi_dot(x^-1 g x) with
-    chi_dot extended by zero off H."""
+    """(Ind chi)(c) = |G| / (|c| |H|) sum_{h in H cap c} chi(h), one pass
+    over H.  This is (1/|H|) sum_{x in G} chi_dot(x^-1 g x) with chi_dot
+    extended by zero off H: as x runs over G, x^-1 g x meets each element
+    of the class c of g exactly |G|/|c| times."""
     G = H.parent
     chi = _coerce_subgroup_character(H, chi)
-    sub = H.group
-    dot = {p: chi.value_on_element(pos) for pos, p in enumerate(sub.to_parent)}
-    t, inv = G.mult, G.inv
-    vals = []
-    for rep in G.class_reps:
-        acc = ZERO
-        for x in range(len(G)):
-            y = t[t[inv[x]][rep]][x]
-            v = dot.get(y)
-            if v is not None:
-                acc = acc + v
-        vals.append(acc / H.order)
-    return ClassFunction(G, vals)
+    sums = [ZERO] * G.num_classes
+    for pos, p in enumerate(H.group.to_parent):
+        c = G.class_of[p]
+        sums[c] = sums[c] + chi.value_on_element(pos)
+    return ClassFunction(G, (acc / Fraction(size * H.order, len(G))
+                             for acc, size in zip(sums, G.class_sizes)))
 
 
 def _twist_character(G: FiniteGroup, gen: str, r: int) -> ClassFunction:
@@ -221,6 +221,33 @@ def induce_in_stages(G: FiniteGroup, K: SubgroupHandle, H: SubgroupHandle,
     }
 
 
+class CosetAction:
+    """How G permutes the left cosets g_i H of a subgroup H: for every g,
+    the targets j(i) and the factors h_i in g g_i = g_j(i) h_i.  Neither
+    depends on the representation induced from H, so `coset_action`
+    keeps one action per (G, H) for every twist."""
+
+    def __init__(self, G: FiniteGroup, H: SubgroupHandle):
+        self.cosets = left_cosets(G, H)
+        n = self.cosets.count
+        t = G.mult
+        data = []
+        for g in range(len(G)):
+            target, hvals = zip(*(self.cosets.coset_of[t[g][gi]]
+                                  for gi in self.cosets.representatives))
+            if sorted(target) != list(range(n)):
+                raise ContractViolation("coset action is not a permutation")
+            data.append((target, hvals))
+        self.data = tuple(data)
+        self.checked = None     # the data object whose product check passed
+
+
+def coset_action(G: FiniteGroup, H: SubgroupHandle) -> CosetAction:
+    if H.member_indices not in G._coset_actions:
+        G._coset_actions[H.member_indices] = CosetAction(G, H)
+    return G._coset_actions[H.member_indices]
+
+
 class MonomialRep:
     """Explicit induced representation in the coset-block basis.
 
@@ -228,34 +255,20 @@ class MonomialRep:
     representatives g_i, the block (j, i) of D(g) is nonzero only when
     g_j^-1 g g_i lands in H, where it equals B(g_j^-1 g g_i).  For
     one-dimensional B every row and column carries exactly one nonzero
-    entry, a root of unity.
+    entry, a root of unity.  `data` holds, per g, the coset targets and
+    H-factors of the shared `CosetAction`.
     """
 
     def __init__(self, G: FiniteGroup, H: SubgroupHandle, block_matrices,
-                 block_dim: int, cosets: CosetDecomposition | None = None):
+                 block_dim: int):
         self.group = G
         self.subgroup = H
         self.block_dim = block_dim
         self.blocks = block_matrices     # parent h index -> d x d CycloNum rows
-        self.cosets = cosets or left_cosets(G, H)
         self._verify_inducing_homomorphism()
-        n = self.cosets.count
-        self.degree = n * block_dim
-        t, inv = G.mult, G.inv
-        reps = self.cosets.representatives
-        data = []
-        for g in range(len(G)):
-            target = [None] * n
-            hvals = [None] * n
-            for i, gi in enumerate(reps):
-                e = t[g][gi]
-                j, h = self.cosets.coset_of[e]
-                target[i] = j
-                hvals[i] = h
-            if sorted(target) != list(range(n)):
-                raise ContractViolation("coset action is not a permutation")
-            data.append((tuple(target), tuple(hvals)))
-        self.data = tuple(data)
+        self.action = coset_action(G, H)
+        self.degree = self.action.cosets.count * block_dim
+        self.data = self.action.data
 
     def _verify_inducing_homomorphism(self):
         par = self.subgroup.parent
@@ -323,14 +336,22 @@ def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> bool:
     D(E) is the identity and D(x) D(s) = D(xs) is checked for every x and
     every generator s on an edge of G's spanning tree; once the tree
     covers G, each element is a word in those generators, so
-    D(a) D(b) = D(ab) follows for all pairs."""
+    D(a) D(b) = D(ab) follows for all pairs.  That check reads only the
+    rep's coset data, which every twist from <gen> shares: a pass is kept
+    on the shared action for the data object it read, so it runs once
+    per (G, gen), and a rep carrying other data is checked on its own."""
     rep = induced_matrices(G, gen, r)
     if rep.character() != _twist_character(G, gen, r % rep.subgroup.order):
         return False
-    e, n = G.identity_index, rep.cosets.count
-    gens = {G.generators[g] for g, _ in filter(None, G.tree.values())}
-    return (rep.data[e] == (tuple(range(n)), (e,) * n) and len(G.tree) == len(G)
-            and all(rep.is_homomorphic_at(x, s) for x in range(len(G)) for s in gens))
+    if rep.data is not rep.action.checked:
+        e, n = G.identity_index, rep.action.cosets.count
+        gens = {G.generators[g] for g, _ in filter(None, G.tree.values())}
+        if not (rep.data[e] == (tuple(range(n)), (e,) * n) and len(G.tree) == len(G)
+                and all(rep.is_homomorphic_at(x, s) for x in range(len(G))
+                        for s in gens)):
+            return False
+        rep.action.checked = rep.data
+    return True
 
 
 def induced_matrices(G: FiniteGroup, gen_or_handle, B) -> MonomialRep:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import character_table, inner_product_int, spin_character
+from .exactnum import root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup
 
 
@@ -91,17 +92,42 @@ def _classify_ade(G: FiniteGroup, adjacency) -> str:
     raise ContractViolation(f"McKay graph of {G.name} is not an affine ADE diagram")
 
 
+def mckay_adjacency(G: FiniteGroup) -> tuple:
+    """A[i][j] = <chi_j, chi_half * chi_i> over the irreducibles of G in
+    table order, computed once per group.
+
+    A cyclic group's table is omega^0..omega^{q-1}, and it takes no inner
+    product: chi_half of the generator is zeta_q^a + zeta_q^-a for an a
+    read off by exact comparison, and omega^r chi_half = omega^{r+a} +
+    omega^{r-a}."""
+    if G._mckay_adjacency is None:
+        table = character_table(G)
+        chi_half = spin_character(G, 1)
+        q = len(G)
+        if G.num_classes == q:
+            at_gen = chi_half.value_on_class(min(1, q - 1))
+            a = next((a for a in range(q)
+                      if root_of_unity(q, a) + root_of_unity(q, -a) == at_gen), None)
+            if a is None:
+                raise ContractViolation(
+                    f"chi_1/2 of the generator of {G.name} is not zeta^a + zeta^-a")
+            adjacency = [[0] * q for _ in range(q)]
+            for r in range(q):
+                adjacency[r][(r + a) % q] += 1
+                adjacency[r][(r - a) % q] += 1
+        else:
+            adjacency = [[inner_product_int(b.char, prod) for b in table]
+                         for prod in (chi_half * a.char for a in table)]
+        G._mckay_adjacency = tuple(map(tuple, adjacency))
+    return G._mckay_adjacency
+
+
 def mckay_graph(G: FiniteGroup) -> McKayGraph:
-    """Adjacency <chi_half * chi_B, chi_C>, verified symmetric with the
+    """The adjacency of `mckay_adjacency`, verified symmetric with the
     affine mark equation, and classified by shape."""
     table = character_table(G)
-    chi_half = spin_character(G, 1)
+    adjacency = mckay_adjacency(G)
     k = len(table)
-    adjacency = [[0] * k for _ in range(k)]
-    for i, a in enumerate(table):
-        prod = chi_half * a.char
-        for j, b in enumerate(table):
-            adjacency[i][j] = inner_product_int(b.char, prod)
     for i in range(k):
         for j in range(k):
             if adjacency[i][j] != adjacency[j][i]:
@@ -110,8 +136,7 @@ def mckay_graph(G: FiniteGroup) -> McKayGraph:
         raise ContractViolation("unexpected self-adjacency in McKay graph")
     marks = [ir.label.dimension for ir in table]
     names = [ir.name for ir in table]
-    graph = McKayGraph(G.name, tuple(names), tuple(marks),
-                       tuple(map(tuple, adjacency)),
+    graph = McKayGraph(G.name, tuple(names), tuple(marks), adjacency,
                        _classify_ade(G, adjacency))
     if not graph.mark_equation_holds():
         raise ContractViolation("affine mark equation fails")

@@ -25,12 +25,16 @@ view of space-form spectra; for the trivial twist m_n are the
 coefficients of Klein's invariant Poincare series).
 
 The block m_0..m_{L-1} is linear in the twist, so it is an integer
-combination of the blocks of the irreducibles (the table's irreps, or
-the characters omega^r of a cyclic group).  Each irreducible's column
-of exact inner products is kept on its group and grown only as deep as
-a series asks (never past L), so every series after the first over the
-same irreducibles is integer arithmetic throughout.  `degeneracy`
-keeps the direct per-level inner product.
+combination of the columns of the irreducibles (the table's irreps, or
+the characters omega^r of a cyclic group).  The columns come from the
+Clebsch-Gordan rule chi_{1/2} chi_{n/2} = chi_{(n+1)/2} + chi_{(n-1)/2}:
+the vector v_n of all irreducibles' multiplicities in Res chi_{n/2}
+obeys v_{n+1} = A v_n - v_{n-1} from v_0 = e_1, v_{-1} = 0, with A the
+McKay adjacency (McKay 1980; Kostant 1984).  A costs one set of exact
+inner products per group (none on a cyclic group), and every column
+entry after it is integer arithmetic, kept on the group and grown
+together as deep as asked.  `degeneracy` keeps the direct per-level
+inner product as the oracle.
 
 An independent numeric oracle is provided for small levels: explicit
 spin-j matrices are built from the quaternions, the group average of
@@ -49,8 +53,9 @@ from typing import TYPE_CHECKING
 
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product, nonnegative_int, spin_character)
-from .exactnum import ZERO, CycloNum, root_of_unity
+from .exactnum import ONE, ZERO, CycloNum, root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
+from .mckay import mckay_adjacency
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,32 +140,50 @@ def _genuine_twist(target, twist) -> TwistSpec:
     return tw
 
 
-def _multiplicity(chi: ClassFunction, n: int) -> int:
-    """m_n = <chi, Res chi_{n/2}>, checked to be a non-negative integer."""
-    return nonnegative_int(inner_product(chi, spin_character(chi.group, n)),
-                           f"intertwining number at level {n}")
-
-
 def _column(G: FiniteGroup, irreducible, depth: int) -> tuple:
-    """m_0..m_{depth-1} of one irreducible of G (an irrep name, or the
-    index r of omega^r on a cyclic group), grown lazily and kept on G.
-    A grown column replaces the old one whole, so a concurrent caller
-    sees a shorter or a longer column, never a partial one."""
-    col = G._multiplicity_columns.get(irreducible, ())
-    if len(col) < depth:
-        chi = (cyclic_character(G, irreducible) if isinstance(irreducible, int)
-               else character_table(G)[irreducible].char)
-        col += tuple(_multiplicity(chi, n) for n in range(len(col), depth))
-        G._multiplicity_columns[irreducible] = col
-    return col
+    """m_0..m_{depth-1} (or more) of one irreducible of G: an irrep name,
+    or the index r of omega^r on a cyclic group.
+
+    The columns of all irreducibles are kept on G and grow together by
+    v_{n+1} = A v_n - v_{n-1} (see the module docstring), each entry
+    checked to be non-negative.  A grown column replaces the old one
+    whole, so a concurrent caller sees a shorter or a longer column,
+    never a partial one."""
+    cols = G._multiplicity_columns
+    if len(cols.get(irreducible, ())) >= depth:
+        return cols[irreducible]
+    table = character_table(G)
+    cyclic = G.num_classes == len(G)
+    if isinstance(irreducible, str):
+        irrep = table[irreducible]
+        irreducible = table.irreps.index(irrep) if cyclic else irrep.name
+    if len(cols.get(irreducible, ())) < depth:
+        keys = range(len(table)) if cyclic else [ir.name for ir in table]
+        grown = [list(cols.get(key, ())) for key in keys]
+        A = mckay_adjacency(G)
+        for n in range(len(grown[0]), depth):
+            if n == 0:
+                v = [int(all(x == ONE for x in ir.char.values)) for ir in table]
+            else:
+                last = [col[n - 1] for col in grown]
+                v = [sum(m * row[j] for m, row in zip(last, A))
+                     - (grown[j][n - 2] if n > 1 else 0) for j in range(len(A))]
+            if min(v) < 0:
+                raise ContractViolation(f"negative multiplicity at level {n}: {v}")
+            for col, m in zip(grown, v):
+                col.append(m)
+        cols.update(zip(keys, map(tuple, grown)))
+    return cols[irreducible]
 
 
 def degeneracy(target, twist, n: int) -> int:
-    """Exact twisted degeneracy at level n (eigenvalue n(n+2))."""
+    """Exact twisted degeneracy at level n (eigenvalue n(n+2)): n + 1
+    times the direct inner product <chi, Res chi_{n/2}>."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    tw = _genuine_twist(target, twist)
-    return (n + 1) * _multiplicity(tw.character(), n)
+    chi = _genuine_twist(target, twist).character()
+    return (n + 1) * nonnegative_int(inner_product(chi, spin_character(chi.group, n)),
+                                     f"intertwining number at level {n}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +228,8 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
     With L the exponent of the group, m_n for n < L is the twist's
     integer combination of the irreducibles' multiplicity columns and
     m_n = m_{n mod L} + (n // L) Delta_{n mod 2} beyond it (see the
-    module docstring).  Every column entry is a checked exact inner
-    product, every block entry and both steps Delta_0, Delta_1 must be
+    module docstring).  Every column entry is a checked non-negative
+    integer, every block entry and both steps Delta_0, Delta_1 must be
     non-negative integers, so every entry is a checked non-negative
     integer and equals `degeneracy(target, twist, n)`."""
     if n_max < 0:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from spaceforms import groups, spectra
+from spaceforms import characters, groups, spectra
 from spaceforms.characters import character_table
 from spaceforms.groups import ContractViolation
+from spaceforms.mckay import mckay_adjacency
 from spaceforms.spectra import (DegeneracySeries, SpectralWeight, TwistError,
                                 TwistSpec, degeneracy, degeneracy_series,
                                 lens_torsion, oracle_projector_degeneracy,
@@ -203,7 +204,8 @@ def test_closed_form_series_matches_direct_path(all_groups):
     # level past them, against the per-level inner product, for every
     # irrep, a mixed spinor/non-spinor combination and every lens twist
     # on each generator's subgroup; the multiplicity columns of a fresh
-    # group grow only as deep as asked and never past the period
+    # group grow together, at least as deep as asked and never past the
+    # period
     for G in map(fresh_copy, all_groups):
         table = character_table(G)
         spinor = next(ir.name for ir in table if ir.label.spinor)
@@ -222,8 +224,10 @@ def test_closed_form_series_matches_direct_path(all_groups):
                              for n in range(n_max + 1))
                 assert got == want, (G.name, target, twist, n_max)
                 if not isinstance(twist, dict):
-                    col = host._multiplicity_columns[twist]
-                    assert len(col) == min(n_max + 1, period)
+                    depths = {len(c) for c in host._multiplicity_columns.values()}
+                    assert len(depths) == 1
+                    assert depths.pop() >= min(n_max + 1, period)
+                    assert len(host._multiplicity_columns[twist]) >= min(n_max + 1, period)
         hosts = [G] + [G.cyclic_subgroup(gen).group
                        for gen in ("R", "S", "T", "RST")]
         for host in hosts:
@@ -233,24 +237,29 @@ def test_closed_form_series_matches_direct_path(all_groups):
 
 
 def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
+    # the first series of a fresh group pays the k^2 exact inner products
+    # of the McKay adjacency and fills the column of every irreducible;
+    # every later series, of any irreducible and to any depth, is integer
+    # arithmetic only
     G = fresh_copy(g2i)
+    k = len(character_table(G))
     calls = []
-    real = spectra.inner_product
+    real = characters.inner_product
 
     def counted(a, b):
         calls.append(1)
         return real(a, b)
 
+    monkeypatch.setattr(characters, "inner_product", counted)
     monkeypatch.setattr(spectra, "inner_product", counted)
     first = degeneracy_series(G, {"2s": 1, "4s": 1}, 60)
-    assert len(calls) == 2 * 60          # one column per irrep, 60 = period
+    assert len(calls) == k * k
     calls.clear()
     again = [degeneracy_series(G, "2s", 60),
              degeneracy_series(G, {"4s": 3, "2s": 1}, 200),
              degeneracy_series(G, {"2S": 1, "4s": 1}, 7)]
+    shallow = degeneracy_series(G, "6s", 20)
     assert calls == []
-    shallow = degeneracy_series(G, "6s", 20)     # a new irrep, 21 levels
-    assert len(calls) == 21
     monkeypatch.undo()
     assert first.entries == tuple(a + b for a, b in zip(
         degeneracy_series(g2i, "2s", 60).entries,
@@ -259,6 +268,41 @@ def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
         degeneracy(g2i, {"4s": 3, "2s": 1}, n) for n in range(201))
     assert again[2].entries == first.entries[:8]
     assert shallow.entries == tuple(degeneracy(g2i, "6s", n) for n in range(21))
+
+
+# The affine Dynkin diagrams E6~, E7~ and E8~ by irrep name (McKay 1980):
+# an input to the column recurrence that the library does not derive.
+AFFINE_DIAGRAMS = {
+    "2T": ("1-2s-3", "1'-2s'-3", "1''-2s''-3"),
+    "2O": ("1-2s-3-4s-3'-2s'-1'", "2-4s"),
+    "2I": ("1-2s-3'-4s-5-6s-4-2s'", "3-6s"),
+}
+
+
+def test_columns_read_the_affine_dynkin_diagram(all_groups):
+    for G in all_groups:
+        names = [ir.name for ir in character_table(G)]
+        edges = {frozenset(pair) for path in AFFINE_DIAGRAMS[G.name]
+                 for pair in zip(path.split("-"), path.split("-")[1:])}
+        want = tuple(tuple(int(frozenset((a, b)) in edges) for b in names)
+                     for a in names)
+        assert mckay_adjacency(G) == want, G.name
+
+
+def test_recurrence_columns_equal_the_direct_inner_product(all_groups):
+    # to level 2L + 1, past the period, on each group, each generator's
+    # cyclic subgroup and three lens groups
+    hosts = [(G, [ir.name for ir in character_table(G)]) for G in all_groups]
+    hosts += [(H, list(range(len(H)))) for H in
+              [G.cyclic_subgroup(gen).group for G in all_groups
+               for gen in ("R", "S", "T", "RST")]
+              + [groups.cyclic_group(q) for q in (2, 4, 6)]]
+    for host, irreducibles in hosts:
+        depth = 2 * math.lcm(*host.orders) + 2
+        for irreducible in irreducibles:
+            col = spectra._column(host, irreducible, depth)
+            assert col[:depth] == tuple(degeneracy(host, irreducible, n) // (n + 1)
+                                        for n in range(depth)), (host, irreducible)
 
 
 def poincare_coefficients(a, b, c, n_max):

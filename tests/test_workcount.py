@@ -38,7 +38,7 @@ PINS = {
         "characters.restrict": 234,
         "characters.spin_character": 44,
         "cli.resolve_group": 1,
-        "exactnum.add": 16630,
+        "exactnum.add": 10530,
         "exactnum.mul": 16870,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
@@ -48,7 +48,7 @@ PINS = {
     },
     "mckay 2I": {
         "exit": 0,
-        "characters.character_table": 1,
+        "characters.character_table": 2,
         "characters.cyclic_character": 135,
         "characters.inner_product": 304,
         "characters.restrict": 36,
@@ -61,14 +61,14 @@ PINS = {
     },
     "verify isospectral --nmax 60": {
         "exit": 0,
-        "characters.character_table": 204,
+        "characters.character_table": 210,
         "characters.cyclic_character": 564,
-        "characters.inner_product": 2685,
+        "characters.inner_product": 1909,
         "characters.restrict": 573,
-        "characters.spin_character": 1287,
+        "characters.spin_character": 118,
         "cli.resolve_group": 3,
-        "exactnum.add": 41485,
-        "exactnum.mul": 55147,
+        "exactnum.add": 26024,
+        "exactnum.mul": 42896,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
         "induction.induce_twist": 60,
