@@ -261,28 +261,6 @@ class CharacterTable:
                     raise TableDerivationError(
                         f"column orthogonality fails at ({ci},{cj})")
 
-    def decompose(self, phi: ClassFunction):
-        """phi = sum m_A chi_A with all m_A non-negative integers; raises
-        if phi is not a genuine character."""
-        if phi.group is not self.group:
-            raise ValueError("class function lives on a different group")
-        out = []
-        recon = ClassFunction(self.group, (ZERO,) * self.group.num_classes)
-        for ir in self.irreps:
-            v = inner_product(ir.char, phi)
-            try:
-                m = v.as_integer()
-            except ValueError:
-                raise ValueError(f"not a character: <{ir.name}, phi> = {v}") from None
-            if m < 0:
-                raise ValueError(f"not a character: <{ir.name}, phi> = {m} < 0")
-            if m:
-                out.append((ir.label, m))
-                recon = recon + ir.char * m
-        if not (recon - phi).is_zero():
-            raise ValueError("not a character: residual after decomposition")
-        return out
-
     def to_json(self) -> dict:
         G = self.group
         return {

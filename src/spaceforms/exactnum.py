@@ -123,9 +123,8 @@ def _normalized(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 class CycloNum:
     """An element of Q(zeta_120), immutable and hashable.
 
-    Internally a length-32 integer vector over a common positive
-    denominator; externally each coefficient is the Rational
-    num[i]/den (see `coefficients`).
+    A length-32 integer vector `num` over a common positive denominator
+    `den`: the coefficient of zeta^i is the Rational num[i]/den.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -155,10 +154,6 @@ class CycloNum:
         return CycloNum(_ROWS[k % CONDUCTOR], 1, _normalize=False)
 
     # -- queries -----------------------------------------------------
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -332,6 +327,6 @@ def format_value(a: CycloNum) -> str:
     if a.is_rational():
         return str(a.as_rational())
     z = a.to_complex()
-    if abs(z.imag) < 1e-12:
+    if a == a.conjugate():
         return f"{z.real:.4f}"
     return f"{z.real:.4f}{z.imag:+.4f}i"

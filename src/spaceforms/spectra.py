@@ -304,8 +304,8 @@ def spectral_sum(series: DegeneracySeries, weight: SpectralWeight) -> SpectralSu
     """Sum d_n f(lambda_n) over the truncated series, lambda_n = n(n+2).
 
     The heat weight reports a geometric tail bound; the zeta weight
-    refuses exponents at or below the convergence threshold and skips
-    the zero mode."""
+    refuses exponents at or below the convergence threshold, skips the
+    zero mode and reports an integral tail bound."""
     n_max = series.n_max
     if weight.kind == "raw":
         return SpectralSum(float(sum(series.entries)), None, n_max + 1)
@@ -332,7 +332,16 @@ def spectral_sum(series: DegeneracySeries, weight: SpectralWeight) -> SpectralSu
                 f"truncated zeta sum diverges for s <= {ZETA_CONVERGENCE_THRESHOLD}")
         val = sum(d * (n * (n + 2)) ** (-s)
                   for n, d in enumerate(series.entries) if n > 0)
-        return SpectralSum(val, None, n_max)
+        # tail bound: d_n <= (n+1)^2 dim(rho) and n(n+2) >= 3(n+1)^2/4 for
+        # n >= 1, so the omitted terms sum to at most dim (4/3)^s times
+        # sum_{m >= n_max+2} m^(2-2s) <= (n_max+1)^(3-2s) / (2s-3)
+        dim = series.twist.dimension()
+        try:
+            bound = (dim * (n_max + 1) ** 3 * (4 / (3 * (n_max + 1) ** 2)) ** s
+                     / (2 * s - 3))
+        except OverflowError:           # (4/3)^s at n_max = 0
+            bound = math.inf
+        return SpectralSum(val, bound, n_max)
     raise ValueError(f"unknown weight kind {weight.kind!r}")
 
 
@@ -376,32 +385,27 @@ def su2_matrix(e) -> np.ndarray:
 
 
 def spin_matrix(u: np.ndarray, two_j: int) -> np.ndarray:
-    """Spin-j matrix in the orthonormal monomial basis (standard angular
-    momentum construction, unitary for u in SU(2))."""
+    """Spin-j matrices in the orthonormal monomial basis (standard angular
+    momentum construction, unitary for u in SU(2)), for a stack of SU(2)
+    matrices of shape (..., 2, 2)."""
     import numpy as np
     dim = two_j + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    a11, a12 = u[0, 0], u[0, 1]
-    a21, a22 = u[1, 0], u[1, 1]
-    fact = [math.factorial(k) for k in range(two_j + 1)]
+    out = np.zeros(u.shape[:-2] + (dim, dim), dtype=complex)
+    powers = [[u[..., a, b] ** k for k in range(dim)] for a in (0, 1) for b in (0, 1)]
+    p11, p12, p21, p22 = powers
+    fact = [math.factorial(k) for k in range(dim)]
     for col in range(dim):
-        p = two_j - col          # power of u1 in the source monomial
-        s = col
-        # expand (a11 u1 + a21 u2)^p (a12 u1 + a22 u2)^s
-        poly = np.zeros(dim, dtype=complex)
-        pa = np.zeros(p + 1, dtype=complex)
-        for k in range(p + 1):
-            pa[k] = (math.comb(p, k) * a11 ** k * a21 ** (p - k))
-        pb = np.zeros(s + 1, dtype=complex)
-        for k in range(s + 1):
-            pb[k] = (math.comb(s, k) * a12 ** k * a22 ** (s - k))
-        conv = np.convolve(pa, pb)          # index = power of u1
-        for u1pow in range(dim):
-            poly[two_j - u1pow] = conv[u1pow]
+        p, s = two_j - col, col
+        # expand (a11 u1 + a21 u2)^p (a12 u1 + a22 u2)^s; the power of u1
+        # in a term fixes its row
+        for k1 in range(p + 1):
+            first = math.comb(p, k1) * p11[k1] * p21[p - k1]
+            for k2 in range(s + 1):
+                out[..., two_j - k1 - k2, col] += (first * math.comb(s, k2)
+                                                   * p12[k2] * p22[s - k2])
         for row in range(dim):
-            norm = math.sqrt(fact[two_j - row] * fact[row]
-                             / (fact[p] * fact[s]))
-            out[row, col] = poly[row] * norm
+            out[..., row, col] *= math.sqrt(fact[two_j - row] * fact[row]
+                                            / (fact[p] * fact[s]))
     return out
 
 
@@ -417,8 +421,9 @@ def _spin_matrices(G: FiniteGroup, two_j: int) -> np.ndarray:
     built once per (group, level)."""
     cache = G._oracle_spin
     if two_j not in cache:
-        cache[two_j] = _frozen([spin_matrix(su2_matrix(e), two_j)
-                                for e in G.elements])
+        import numpy as np
+        u = np.stack([su2_matrix(e) for e in G.elements])
+        cache[two_j] = _frozen(spin_matrix(u, two_j))
     return cache[two_j]
 
 

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spaceforms import cli, groups, theorems
 from spaceforms.characters import TableDerivationError
 from spaceforms.cli import main
@@ -370,6 +372,17 @@ def test_spectrum_json_is_standard_with_infinite_tail_bound(capsys):
     code, out, _ = run(capsys, "spectrum", "2T", "--nmax", "4", "--weight",
                        "heat", "--param", "1e-9")
     assert code == 0 and "tail bound inf" in out
+
+
+def test_zeta_sum_prints_its_tail_bound(capsys):
+    argv = ("spectrum", "2O", "--irrep", "4s", "--nmax", "50", "--weight",
+            "zeta", "--param", "2.5")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    bound = _strict_json(out)["weighted_sum"]["truncation_bound"]
+    # dim (4/3)^s (n_max + 1)^(3 - 2s) / (2s - 3)
+    assert code == 0 and bound == pytest.approx(4 * (4 / 3) ** 2.5 * 51 ** -2 / 2)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and f"(tail bound {bound:.3e})" in out
 
 
 def _python(code):

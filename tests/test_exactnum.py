@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from spaceforms.exactnum import (CONDUCTOR, ONE, ZERO, embed_float,
+from spaceforms.exactnum import (CONDUCTOR, ONE, ZERO, embed_float, format_value,
                                  from_rational, galois, root_of_unity)
 
 
@@ -142,7 +142,15 @@ def test_rational_interop():
     assert half.as_rational() == Fraction(1, 2)
     with pytest.raises(ValueError):
         root_of_unity(8, 1).as_rational()
-    assert from_rational(Fraction(6, 4)).coefficients[0] == Fraction(3, 2)
+    reduced = from_rational(Fraction(6, 4))
+    assert (reduced.num[0], reduced.den) == (3, 2) and not any(reduced.num[1:])
+
+
+def test_format_value_tests_realness_exactly():
+    # i / 10^13 is not real, though its imaginary part is below 1e-12
+    assert format_value(root_of_unity(4) / 10 ** 13) == "0.0000+0.0000i"
+    real = root_of_unity(120, 7) + root_of_unity(120, -7)
+    assert format_value(real) == f"{2 * math.cos(2 * math.pi * 7 / 120):.4f}"
 
 
 def test_hash_and_immutability():

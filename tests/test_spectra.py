@@ -122,6 +122,23 @@ def test_heat_trace_limit_and_bound():
     assert true_tail <= small.truncation_bound
 
 
+def test_zeta_tail_bound_covers_a_4000_level_sum(g2i):
+    # d_n <= dim (n+1)^2 and n(n+2) >= 3(n+1)^2/4 bound every omitted
+    # term, for every twist and every s above the threshold
+    cases = [(groups.cyclic_group(1), 0), (g2i, "6s"), (g2i, {"2s": 1, "4": 2}),
+             (g2i.cyclic_subgroup("T"), 3)]
+    for target, twist in cases:
+        deep = degeneracy_series(target, twist, 4000)
+        for n_max in (1, 10, 60, 200):
+            short = DegeneracySeries(deep.twist, deep.entries[:n_max + 1])
+            for s in (1.55, 2.0, 2.5, 3.0, 4.0):
+                got = spectral_sum(short, SpectralWeight.zeta(s))
+                rest = spectral_sum(deep, SpectralWeight.zeta(s)).value - got.value
+                assert 0 < rest <= got.truncation_bound, (twist, n_max, s)
+        for s in (1.5 + 1e-9, 10.0, 1000.5):
+            assert math.isfinite(spectral_sum(short, SpectralWeight.zeta(s)).truncation_bound)
+
+
 def test_zeta_threshold():
     Z1 = groups.cyclic_group(1)
     s = degeneracy_series(Z1, 0, 10)
