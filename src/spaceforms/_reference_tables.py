@@ -2,9 +2,9 @@
 
 These are the classical decompositions of Ind(omega^r) from the cyclic
 subgroups <R>, <S>, <T> and the central <RST> into labeled irreducibles.
-They serve two purposes: they pin down the prime-mark naming convention
-(dimension and spinor flag are intrinsic, primes are not), and they are
-golden data for the induction tests.
+They are checked data only: the irreps are named from the McKay graph
+(`characters.NODE_NAMES`), and the `table` verdicts and the induction
+tests compare the derived decompositions with these rows.
 
 Rows are listed for r = 0 upward only as far as they are independent;
 r and q - r induce equivalent representations, which the code verifies.

@@ -11,12 +11,12 @@ discrete Fourier transform over the power map, give each value exactly
 as a sum of roots of unity.  Nothing is trusted until the orthogonality
 relations are verified in exact arithmetic.
 
-Prime-mark labels (3 vs 3', 2s' vs 2s'', ...) are not intrinsic; they
-are fixed by requiring the reference induction tables to hold verbatim.
-Each character takes the one name of its dimension and spinor flag
-whose reference rows list its multiplicities <Res chi, omega^r>; a
-character that fits no name or several, or two characters that fit
-the same name, stop the derivation.
+The names come from the McKay graph (McKay 1980), the adjacency A_ij =
+<chi_j, chi_1/2 chi_i> of tensoring with the defining representation:
+each node is named by its distance from the trivial character and its
+dimension, so 2s is Res chi_1/2 by definition, and the walk must reach
+every node (chi_1/2 is faithful).  The classical induction tables are
+not read: the `table` verdicts check the names against them.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._reference_tables import REFERENCE_INDUCTIONS
 from .exactnum import CONDUCTOR, CycloNum, ONE, ZERO, format_value, root_of_unity
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
-                     SubgroupHandle)
+                     SubgroupHandle, _least_rotation)
 
 
 class TableDerivationError(Exception):
@@ -481,52 +480,69 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
 # -- canonical labeling -------------------------------------------------
 
 
-def _assign_labels(G: FiniteGroup, chars: list[ClassFunction]) -> list[Irrep]:
-    """Name each character by lookup in the reference induction tables.
+# (BFS distance from the trivial character on the McKay graph, dimension)
+# -> name.  On E6~ (2T) the arms 3-2s'-1' and 3-2s''-1'' tie: 1'' is the
+# 1-dimensional character with chi(T) = zeta_3, and 2s'' is its neighbour.
+NODE_NAMES = {
+    "2T": {(0, 1): "1", (1, 2): "2s", (2, 3): "3", (3, 2): "2s'", (4, 1): "1'"},
+    "2O": {(0, 1): "1", (1, 2): "2s", (2, 3): "3", (3, 4): "4s", (4, 3): "3'",
+           (4, 2): "2", (5, 2): "2s'", (6, 1): "1'"},
+    "2I": {(0, 1): "1", (1, 2): "2s", (2, 3): "3'", (3, 4): "4s", (4, 5): "5",
+           (5, 6): "6s", (6, 4): "4", (6, 3): "3", (7, 2): "2s'"},
+}
 
-    A character's reciprocity vector is <Res chi, omega^r> over every
-    reference row (gen, r).  Of the names of its dimension and spinor
-    flag, exactly one must list that vector in the reference rows, and
-    no two characters may take the same name."""
+
+def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
+    """Name each character by its place on the McKay graph.
+
+    A[i][j] = <chi_j, chi_1/2 chi_i>; the walk from the trivial character
+    must reach every node (chi_1/2 is faithful exactly when the graph is
+    connected), and NODE_NAMES names each node by its distance and
+    dimension.  Returns the irreps in label order and A in that order."""
     if not G.presentation:
         raise TableDerivationError(
             f"{G.name} has no presentation triple; adopt R/S/T generators first")
-    reference = REFERENCE_INDUCTIONS[GROUP_NAMES[G.presentation[2]][0]]
-    e_class = G.class_of[G.identity_index]
-    # (dimension, spinor flag); CharacterTable._verify_exact checks both
-    kinds = [(c.value_on_class(e_class).as_integer(),
-              c.value_on_element(G.neg_identity_index) != c.value_on_class(e_class))
-             for c in chars]
-
-    columns = [(G.cyclic_subgroup(gen), len(rows)) for gen, rows in reference.items()]
-
-    def listed(label):      # the multiplicities the reference rows give it
-        return [row.get(label.name, 0) for rows in reference.values() for row in rows]
-
-    irreps, taken = [], set()
-    for c, (dim, spinor) in zip(chars, kinds):
-        vec = []            # <Res c, omega^r> over every reference row (gen, r)
-        for H, count in columns:
-            sub = restrict(c, H)
-            vec += [inner_product_int(sub, cyclic_character(H, r)) for r in range(count)]
-        names = [IrrepLabel(dim, spinor, p) for p in range(kinds.count((dim, spinor)))]
-        fits = [label for label in names if listed(label) == vec]
-        if len(fits) != 1:
-            raise TableDerivationError(
-                f"{G.name}: {len(fits)} names fit the reference rows of a "
-                f"{dim}-dimensional {'spinor' if spinor else 'non-spinor'} "
-                "character, not one")
-        if fits[0] in taken:
-            raise TableDerivationError(
-                f"{G.name}: two {dim}-dimensional characters take the name {fits[0]}")
-        taken.add(fits[0])
-        irreps.append(Irrep(fits[0], c))
-    irreps.sort(key=lambda ir: ir.label)      # dimension, spinor flag, primes
-    return irreps
+    n = G.presentation[2]
+    T = G.generators["T"]
+    if not _least_rotation(G.elements[T], n):
+        raise TableDerivationError(
+            f"{G.name}: T is not the rotation by the least angle, tr T = 2cos(pi/{n}), "
+            "so the triple does not fit the classical names")
+    k = len(chars)
+    chi_half = spin_character(G, 1)
+    A = [[inner_product_int(b, chi_half * a) for b in chars] for a in chars]
+    dist = [None] * k
+    queue = [next(i for i, c in enumerate(chars) if all(v == ONE for v in c.values))]
+    dist[queue[0]] = 0
+    for i in queue:                 # the queue grows while it is read
+        for j, m in enumerate(A[i]):
+            if m and dist[j] is None:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    if None in dist:
+        raise TableDerivationError(
+            f"{G.name}: the McKay graph is not connected, so chi_1/2 is not faithful")
+    group = GROUP_NAMES[n][0]
+    dims = [c.value_on_class(G.class_of[G.identity_index]).as_integer() for c in chars]
+    names = [NODE_NAMES[group].get(key) for key in zip(dist, dims)]
+    if group == "2T":
+        for i, c in enumerate(chars):
+            if dims[i] == 1 and c.value_on_element(T) == root_of_unity(3, 1):
+                names[i] = "1''"
+                names[next(j for j, m in enumerate(A[i]) if m)] = "2s''"
+    if None in names or len(set(names)) != k:
+        raise TableDerivationError(
+            f"{G.name}: the McKay graph does not fit the node names: {names}")
+    labels = [IrrepLabel(int(name.rstrip("s'")), "s" in name, name.count("'"))
+              for name in names]
+    order = sorted(range(k), key=labels.__getitem__)
+    return ([Irrep(labels[i], chars[i]) for i in order],
+            tuple(tuple(A[i][j] for j in order) for i in order))
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
-    """Derive (and cache) the full exact character table of G."""
+    """Derive (and cache) the full exact character table of G; for 2T, 2O
+    and 2I this also keeps the McKay adjacency on G in table order."""
     if G._char_table is not None:
         return G._char_table
     if G.num_classes == len(G):
@@ -547,23 +563,9 @@ def character_table(G: FiniteGroup) -> CharacterTable:
                 irreps.append(Irrep(label, chi))
         table = CharacterTable(G, irreps)
     else:
-        chars = _dixon_characters(G)
-        table = CharacterTable(G, _assign_labels(G, chars))
-        # the names follow the triple; they match the embedding the spectra
-        # use only when T is the rotation by the least angle
-        if table["2s"].char != spin_character(G, 1):
-            raise TableDerivationError(
-                f"{G.name}: the irrep named 2s is not Res chi_1/2, so the names "
-                "do not follow the defining representation")
-        # faithfulness of the defining 2-dim rep: every irrep must show
-        # up in some restricted spin character
-        for ir in table:
-            for two_j in range(2 * len(G) + 1):
-                if not inner_product(ir.char, spin_character(G, two_j)).is_zero():
-                    break
-            else:
-                raise TableDerivationError(
-                    f"irrep {ir.name} unreachable from spin characters")
+        irreps, adjacency = _mckay_labels(G, _dixon_characters(G))
+        table = CharacterTable(G, irreps)
+        G._mckay_adjacency = adjacency
     G._char_table = table
     return table
 

@@ -296,7 +296,7 @@ class FiniteGroup:
         g._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
         g._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
         g._cyclic_subgroups = {}
-        g._mckay_adjacency = None       # McKay graph, table order (mckay)
+        g._mckay_adjacency = None       # McKay graph, table order (characters)
         g._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
         g._induced_twists = {}      # (gen, r mod q) -> decomposition
         g._induced_characters = {}  # (gen, r mod q) -> Ind omega^r
@@ -675,8 +675,9 @@ def _require(ok: bool, field: str, want: str) -> None:
 
 
 def group_to_json(G: FiniteGroup) -> dict:
-    """JSON document with elements as coefficient vectors, the
-    multiplication table and the class partition (cache format)."""
+    """JSON document with elements as coefficient vectors and the
+    multiplication table (cache format); the loader recomputes the
+    classes from the table."""
     return {
         "schema": SCHEMA,
         "kind": "group",
@@ -686,8 +687,6 @@ def group_to_json(G: FiniteGroup) -> dict:
                      for e in G.elements],
         "mult_table": [list(row) for row in G.mult],
         "generators": dict(G.generators),
-        "classes": [list(c) for c in G.classes],
-        "class_labels": list(G.class_labels),
     }
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import character_table, inner_product_int, spin_character
+from .characters import character_table, spin_character
 from .exactnum import root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup
 
@@ -94,30 +94,26 @@ def _classify_ade(G: FiniteGroup, adjacency) -> str:
 
 def mckay_adjacency(G: FiniteGroup) -> tuple:
     """A[i][j] = <chi_j, chi_half * chi_i> over the irreducibles of G in
-    table order, computed once per group.
+    table order.
 
-    A cyclic group's table is omega^0..omega^{q-1}, and it takes no inner
-    product: chi_half of the generator is zeta_q^a + zeta_q^-a for an a
-    read off by exact comparison, and omega^r chi_half = omega^{r+a} +
-    omega^{r-a}."""
+    `character_table` derives A on 2T, 2O and 2I, where it names the
+    irreps.  A cyclic group's table is omega^0..omega^{q-1}, and it takes
+    no inner product: chi_half of the generator is zeta_q^a + zeta_q^-a
+    for an a read off by exact comparison, and omega^r chi_half =
+    omega^{r+a} + omega^{r-a}."""
+    character_table(G)
     if G._mckay_adjacency is None:
-        table = character_table(G)
-        chi_half = spin_character(G, 1)
         q = len(G)
-        if G.num_classes == q:
-            at_gen = chi_half.value_on_class(min(1, q - 1))
-            a = next((a for a in range(q)
-                      if root_of_unity(q, a) + root_of_unity(q, -a) == at_gen), None)
-            if a is None:
-                raise ContractViolation(
-                    f"chi_1/2 of the generator of {G.name} is not zeta^a + zeta^-a")
-            adjacency = [[0] * q for _ in range(q)]
-            for r in range(q):
-                adjacency[r][(r + a) % q] += 1
-                adjacency[r][(r - a) % q] += 1
-        else:
-            adjacency = [[inner_product_int(b.char, prod) for b in table]
-                         for prod in (chi_half * a.char for a in table)]
+        at_gen = spin_character(G, 1).value_on_class(min(1, q - 1))
+        a = next((a for a in range(q)
+                  if root_of_unity(q, a) + root_of_unity(q, -a) == at_gen), None)
+        if a is None:
+            raise ContractViolation(
+                f"chi_1/2 of the generator of {G.name} is not zeta^a + zeta^-a")
+        adjacency = [[0] * q for _ in range(q)]
+        for r in range(q):
+            adjacency[r][(r + a) % q] += 1
+            adjacency[r][(r - a) % q] += 1
         G._mckay_adjacency = tuple(map(tuple, adjacency))
     return G._mckay_adjacency
 
@@ -128,10 +124,8 @@ def mckay_graph(G: FiniteGroup) -> McKayGraph:
     table = character_table(G)
     adjacency = mckay_adjacency(G)
     k = len(table)
-    for i in range(k):
-        for j in range(k):
-            if adjacency[i][j] != adjacency[j][i]:
-                raise ContractViolation("McKay adjacency is not symmetric")
+    if adjacency != tuple(zip(*adjacency)):
+        raise ContractViolation("McKay adjacency is not symmetric")
     if len(G) > 1 and any(adjacency[i][i] for i in range(k)):
         raise ContractViolation("unexpected self-adjacency in McKay graph")
     marks = [ir.label.dimension for ir in table]
@@ -142,11 +136,9 @@ def mckay_graph(G: FiniteGroup) -> McKayGraph:
         raise ContractViolation("affine mark equation fails")
     if G.neg_identity_index is not None:
         spin = [ir.label.spinor for ir in table]
-        for i in range(k):
-            for j in range(k):
-                if adjacency[i][j] and spin[i] == spin[j]:
-                    raise ContractViolation(
-                        "McKay graph not bipartite between spinor sectors")
+        if any(adjacency[i][j] and spin[i] == spin[j]
+               for i in range(k) for j in range(k)):
+            raise ContractViolation("McKay graph not bipartite between spinor sectors")
     return graph
 
 

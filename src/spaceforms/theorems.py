@@ -391,7 +391,9 @@ def _tables(gs, n_max):
     for G in gs:
         for gen, rows in REFERENCE_INDUCTIONS[G.name].items():
             got = [row.as_dict() for row in induction_table(G, gen)]
-            out.append(CheckResult(f"{G.name}:table:{gen}", got[:len(rows)] == rows))
+            r = next((r for r, row in enumerate(rows) if got[r] != row), None)
+            detail = "" if r is None else f"r = {r}: derived {got[r]}, listed {rows[r]}"
+            out.append(CheckResult(f"{G.name}:table:{gen}", r is None, detail))
             out.append(CheckResult(f"{G.name}:column_regular:{gen}",
                                    column_sum_is_regular(G, gen)))
     return out

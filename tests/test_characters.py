@@ -188,45 +188,28 @@ def test_labels_are_deterministic(g2t):
         [ir.name for ir in character_table(g2t)]
 
 
-def _labels_with_reference(monkeypatch, G, reference):
-    """character_table of a fresh copy of G named against `reference`."""
+def test_a_wrong_node_map_fails_the_table_verdicts(monkeypatch, capsys, g2i):
+    # the names come from the McKay graph alone, so the reference rows
+    # check them: with 3 and 3' swapped in 2I's node map, 2I's tables FAIL
     from spaceforms import characters
-    from spaceforms.groups import group_from_json, group_to_json
-    monkeypatch.setitem(characters.REFERENCE_INDUCTIONS, G.name, reference)
-    return character_table(group_from_json(group_to_json(G)))
+    node_names = dict(characters.NODE_NAMES["2I"])
+    node_names[(2, 3)], node_names[(6, 3)] = "3", "3'"
+    monkeypatch.setitem(characters.NODE_NAMES, "2I", node_names)
+    monkeypatch.setitem(groups._BUILD_CACHE, (5, 0),
+                        groups.group_from_json(groups.group_to_json(g2i)))
+    code = main(["verify", "tables"])
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert code == 1
+    assert failed and all(key.startswith("2I:table:") for key in failed)
 
 
-def test_labels_refuse_a_reference_that_fits_two_namings(monkeypatch, g2t):
-    # without the T column, 1' and 1'' (and the three 2s) look alike
-    from spaceforms.characters import REFERENCE_INDUCTIONS
-    reference = {gen: rows for gen, rows in REFERENCE_INDUCTIONS["2T"].items()
-                 if gen != "T"}
-    with pytest.raises(TableDerivationError, match=r"2T: [2-9] names fit"):
-        _labels_with_reference(monkeypatch, g2t, reference)
-
-
-def test_labels_refuse_a_reference_row_no_naming_satisfies(monkeypatch, g2t):
-    from spaceforms.characters import REFERENCE_INDUCTIONS
-    reference = dict(REFERENCE_INDUCTIONS["2T"])
-    reference["R"] = [{"1": 1, "1'": 1, "1''": 1, "3": 2}] + reference["R"][1:]
-    with pytest.raises(TableDerivationError, match=r"2T: 0 names fit .* 3-dim"):
-        _labels_with_reference(monkeypatch, g2t, reference)
-
-
-def test_labels_refuse_one_name_for_two_characters(monkeypatch, g2t):
-    # T and S rows 0 and 1 tell the three 2s apart but not 1' from 1'';
-    # with 1'' taken out of every row, both characters fit only 1'
-    from spaceforms.characters import REFERENCE_INDUCTIONS
-    ref = REFERENCE_INDUCTIONS["2T"]
-    reference = {
-        "T": ref["T"][:2],
-        "S": [{"1": 1, "3": 1}, {"2s": 1, "2s'": 1}],
-        "R": [{"1": 1, "1'": 1, "3": 1}] + ref["R"][1:],
-        "RST": [{"1": 1, "1'": 1, "3": 3}] + ref["RST"][1:],
-    }
-    with pytest.raises(TableDerivationError,
-                       match=r"2T: two 1-dimensional characters take the name 1'$"):
-        _labels_with_reference(monkeypatch, g2t, reference)
+def test_a_node_map_that_gives_two_nodes_one_name_is_refused(monkeypatch, g2o):
+    from spaceforms import characters
+    monkeypatch.setitem(characters.NODE_NAMES, "2O",
+                        {**characters.NODE_NAMES["2O"], (4, 3): "3"})
+    with pytest.raises(TableDerivationError, match="^2O: the McKay graph does not fit"):
+        character_table(groups.group_from_json(groups.group_to_json(g2o)))
 
 
 def _presentation_triples(G):
@@ -238,9 +221,9 @@ def _presentation_triples(G):
 
 
 def test_names_follow_the_defining_representation(monkeypatch, all_groups):
-    # each triple fits the reference rows, but on 2O and 2I only the inner
-    # class with tr T = 2cos(pi/n) names the characters the way the
-    # embedding does; the other class (tr T = 2cos(3pi/n)) must be refused
+    # every triple of 2T names 2s as Res chi_1/2, since the McKay graph
+    # does; on 2O and 2I the classical names assume the inner class with
+    # tr T = 2cos(pi/n), and the other class (tr T = 2cos(3pi/n)) is refused
     for G in all_groups:
         triples = _presentation_triples(G)
         assert len(triples) == {"2T": 24, "2O": 48, "2I": 120}[G.name]
@@ -254,7 +237,7 @@ def test_names_follow_the_defining_representation(monkeypatch, all_groups):
                 assert character_table(K)["2s"].char == spin_character(K, 1)
             else:
                 with pytest.raises(TableDerivationError,
-                                   match=rf"^{G.name}: the irrep named 2s is not"):
+                                   match=rf"^{G.name}: T is not the rotation by the least"):
                     character_table(K)
 
 

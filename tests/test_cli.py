@@ -194,8 +194,8 @@ def test_malformed_cache_documents_are_usage_errors_naming_the_file(capsys, tmp_
 
 def test_cache_with_a_triple_of_the_other_inner_class_is_refused(capsys, tmp_path):
     # R, S, T = 117, 2, 102 satisfy R^2 = S^3 = T^5 = RST = -E in 2I, but T
-    # is the rotation by 3pi/5, not pi/5: the names would follow that
-    # triple, 2s would stop being Res chi_1/2, and d_1 of 2s would read 0
+    # is the rotation by 3pi/5, not pi/5, so the twists of <T> would be
+    # measured against another generator than the classical tables assume
     assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
     path = tmp_path / "2I.json"
     doc = json.loads(path.read_text())
@@ -256,12 +256,12 @@ def test_table_derivation_error_is_internal(capsys, monkeypatch):
     # a checked group whose table cannot be derived is a fault of the
     # library, not a failed verification: exit 3, no traceback
     def broken(G):
-        raise TableDerivationError(f"{G.name}: 0 names fit the reference rows")
+        raise TableDerivationError(f"{G.name}: the McKay graph is not connected")
 
     monkeypatch.setattr(cli, "character_table", broken)
     code, out, err = run(capsys, "group", "2T", "chartab")
     assert code == 3 and out == ""
-    assert err == "internal contract violation: 2T: 0 names fit the reference rows\n"
+    assert err == "internal contract violation: 2T: the McKay graph is not connected\n"
 
 
 def test_cache_naming_a_regular_file_is_a_usage_error(capsys, tmp_path):
@@ -328,6 +328,21 @@ def test_verify_relations_reports_known_discrepancies(capsys):
     assert "FAIL  2T:central:spin3half_printed" in out
     assert "FAIL  2I:central:spin2_printed" in out
     assert "PASS  2I:central:spin2_actual" in out
+
+
+def test_a_wrong_reference_row_fails_its_table_verdict(capsys, monkeypatch):
+    # the reference rows are checked data, not the source of the names: a
+    # slip in one FAILs the verdict of its column, naming the first row
+    # that differs, and every other verdict still passes
+    from spaceforms._reference_tables import REFERENCE_INDUCTIONS
+    rows = REFERENCE_INDUCTIONS["2T"]["R"]
+    monkeypatch.setitem(REFERENCE_INDUCTIONS["2T"], "R",
+                        [{"1": 1, "1'": 1, "1''": 1, "3": 2}] + rows[1:])
+    code, out, _ = run(capsys, "verify", "tables")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  2T:table:R  [r = 0: derived {'1': 1, \"1'\": 1, \"1''\": 1, '3': 1}, "
+        "listed {'1': 1, \"1'\": 1, \"1''\": 1, '3': 2}]"]
 
 
 def test_verify_json_format(capsys):

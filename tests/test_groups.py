@@ -251,6 +251,18 @@ def test_serialization_roundtrip(g2t, tmp_path):
     assert G3.mult == g2t.mult
 
 
+def test_cache_documents_hold_no_class_data(g2t):
+    # the loader recomputes the classes from the table, so a document no
+    # longer stores them, and one written when it did loads the same group
+    doc = group_to_json(g2t)
+    assert "classes" not in doc and "class_labels" not in doc
+    old = {**doc, "classes": [list(c) for c in g2t.classes],
+           "class_labels": list(g2t.class_labels)}
+    facts = lambda G: (G.name, G.elements, G.mult, G.generators, G.presentation,
+                       G.classes, G.class_labels)
+    assert facts(group_from_json(doc)) == facts(group_from_json(old)) == facts(g2t)
+
+
 def test_alternate_triple_gives_same_structure():
     # downstream data must not depend on which valid triple was chosen
     for n in (3, 4, 5):

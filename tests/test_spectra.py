@@ -254,12 +254,11 @@ def test_closed_form_series_matches_direct_path(all_groups):
 
 
 def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
-    # the first series of a fresh group pays the k^2 exact inner products
-    # of the McKay adjacency and fills the column of every irreducible;
-    # every later series, of any irreducible and to any depth, is integer
-    # arithmetic only
+    # the character table pays the k^2 exact inner products of the McKay
+    # adjacency (and the k(k+1)/2 of row orthogonality); every series, of
+    # any irreducible and to any depth, is integer arithmetic only
     G = fresh_copy(g2i)
-    k = len(character_table(G))
+    k = G.num_classes
     calls = []
     real = characters.inner_product
 
@@ -269,9 +268,10 @@ def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
 
     monkeypatch.setattr(characters, "inner_product", counted)
     monkeypatch.setattr(spectra, "inner_product", counted)
-    first = degeneracy_series(G, {"2s": 1, "4s": 1}, 60)
-    assert len(calls) == k * k
+    character_table(G)
+    assert len(calls) == k * k + k * (k + 1) // 2
     calls.clear()
+    first = degeneracy_series(G, {"2s": 1, "4s": 1}, 60)
     again = [degeneracy_series(G, "2s", 60),
              degeneracy_series(G, {"4s": 3, "2s": 1}, 200),
              degeneracy_series(G, {"2S": 1, "4s": 1}, 7)]

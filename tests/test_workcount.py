@@ -21,25 +21,23 @@ PINS = {
     "group 2I chartab": {
         "exit": 0,
         "characters.character_table": 1,
-        "characters.cyclic_character": 135,
-        "characters.inner_product": 223,
-        "characters.restrict": 36,
-        "characters.spin_character": 44,
+        "characters.inner_product": 126,
+        "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 7188,
-        "exactnum.mul": 10498,
+        "exactnum.add": 6578,
+        "exactnum.mul": 10058,
         "groups.build_binary_polyhedral": 1,
     },
     "induce 2I": {
         "exit": 0,
         "characters.character_table": 22,
-        "characters.cyclic_character": 179,
-        "characters.inner_product": 619,
-        "characters.restrict": 234,
-        "characters.spin_character": 44,
+        "characters.cyclic_character": 44,
+        "characters.inner_product": 522,
+        "characters.restrict": 198,
+        "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 10530,
-        "exactnum.mul": 16870,
+        "exactnum.add": 9920,
+        "exactnum.mul": 16430,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
         "induction.induce_twist": 42,
@@ -49,26 +47,36 @@ PINS = {
     "mckay 2I": {
         "exit": 0,
         "characters.character_table": 2,
-        "characters.cyclic_character": 135,
-        "characters.inner_product": 304,
-        "characters.restrict": 36,
-        "characters.spin_character": 45,
+        "characters.inner_product": 126,
+        "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 7917,
-        "exactnum.mul": 12037,
+        "exactnum.add": 6578,
+        "exactnum.mul": 10058,
         "groups.build_binary_polyhedral": 1,
         "mckay.mckay_graph": 1,
+    },
+    "spectrum 2I --irrep 2s --nmax 20": {
+        "exit": 0,
+        "characters.character_table": 4,
+        "characters.inner_product": 126,
+        "characters.spin_character": 1,
+        "cli.resolve_group": 1,
+        "exactnum.add": 6580,
+        "exactnum.mul": 10071,
+        "groups.build_binary_polyhedral": 1,
+        "spectra.degeneracy_series": 1,
+        "spectra.levels": 21,
     },
     "verify isospectral --nmax 60": {
         "exit": 0,
         "characters.character_table": 210,
-        "characters.cyclic_character": 564,
-        "characters.inner_product": 1909,
-        "characters.restrict": 573,
-        "characters.spin_character": 118,
+        "characters.cyclic_character": 240,
+        "characters.inner_product": 1485,
+        "characters.restrict": 484,
+        "characters.spin_character": 15,
         "cli.resolve_group": 3,
-        "exactnum.add": 26024,
-        "exactnum.mul": 42896,
+        "exactnum.add": 23192,
+        "exactnum.mul": 38728,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
         "induction.induce_twist": 60,
