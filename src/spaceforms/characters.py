@@ -17,6 +17,21 @@ each node is named by its distance from the trivial character and its
 dimension, so 2s is Res chi_1/2 by definition, and the walk must reach
 every node (chi_1/2 is faithful).  The classical induction tables are
 not read: the `table` verdicts check the names against them.
+
+Inner products of characters are rational, and are computed without a
+field product.  A class function f is Galois-stable when f(g^s) =
+sigma_s(f(g)) on every class for every s prime to 120 (sigma_s: zeta ->
+zeta^s); every character is (Isaacs 1976).  For stable a and b, sigma_s
+fixes <a, b>, since g -> g^s permutes G, so <a, b> = x is rational and
+equals Tr(x)/32, a sum of integer trace forms Tr(conj(a(g)) b(g))
+(`exactnum.trace_form`).  Each ClassFunction records whether it is
+stable.  A theorem sets the flag on the trivial character, omega^r on a
+cyclic group, restrictions, induced characters, conjugates, and sums,
+differences, products and rational multiples of flagged functions.  The
+exact check `galois_stable` runs once per object on every Dixon row and
+on chi_1/2, and on any other function at its first inner product.  A
+function that fails it, or a pair with such a function, takes the
+CycloNum sum.
 """
 
 from __future__ import annotations
@@ -25,7 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CONDUCTOR, CycloNum, ONE, ZERO, format_value, root_of_unity
+from .exactnum import (CONDUCTOR, DEGREE, CycloNum, ONE, ZERO, format_value,
+                       root_of_unity, trace_form)
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle, _least_rotation)
 
@@ -34,17 +50,28 @@ class TableDerivationError(Exception):
     """The character table could not be derived and verified exactly."""
 
 
+# zeta -> zeta^s for these s generate Gal(Q(zeta_120)/Q): they generate
+# the 32 units mod 120
+GALOIS_GENERATORS = (7, 11, 13, 17)
+
+
 class ClassFunction:
-    """A CycloNum-valued function on the conjugacy classes of a group."""
+    """A CycloNum-valued function on the conjugacy classes of a group.
 
-    __slots__ = ("group", "values")
+    `stable` says whether f is Galois-stable, f(g^s) = sigma_s(f(g)) on
+    every class for every s prime to 120, where sigma_s is zeta -> zeta^s:
+    True where a theorem or the exact check `galois_stable` proved it,
+    False where that check failed, None while unknown."""
 
-    def __init__(self, group: FiniteGroup, values):
+    __slots__ = ("group", "values", "stable")
+
+    def __init__(self, group: FiniteGroup, values, stable: bool | None = None):
         values = tuple(values)
         if len(values) != group.num_classes:
             raise ValueError("value vector does not match the class count")
         self.group = group
         self.values = values
+        self.stable = stable
 
     def value_on_class(self, ci: int) -> CycloNum:
         return self.values[ci]
@@ -53,15 +80,22 @@ class ClassFunction:
         return self.values[self.group.class_of[idx]]
 
     def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, (v.conjugate() for v in self.values))
+        # sigma_s commutes with complex conjugation, both ways round
+        return ClassFunction(self.group, (v.conjugate() for v in self.values),
+                             self.stable)
 
     def _binop(self, other, op):
+        """Stable when both operands are proved stable; a scalar operand
+        is stable when it is an int or a Fraction."""
         if isinstance(other, ClassFunction):
             if other.group is not self.group:
                 raise ValueError("class functions live on different groups")
             return ClassFunction(self.group,
-                                 (op(a, b) for a, b in zip(self.values, other.values)))
-        return ClassFunction(self.group, (op(a, other) for a in self.values))
+                                 (op(a, b) for a, b in zip(self.values, other.values)),
+                                 (self.stable and other.stable) or None)
+        rational = isinstance(other, (int, Fraction))
+        return ClassFunction(self.group, (op(a, other) for a in self.values),
+                             (self.stable and rational) or None)
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -89,11 +123,47 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}: {vals})"
 
 
+def _power_classes(G: FiniteGroup) -> tuple:
+    """Per s in GALOIS_GENERATORS, the class of rep^s for every class,
+    kept on G.  Every element order divides 120, so g -> g^s permutes G."""
+    if G._power_classes is None:
+        G._power_classes = tuple(
+            tuple(G.class_of[G.power(rep, s % G.orders[rep])] for rep in G.class_reps)
+            for s in GALOIS_GENERATORS)
+    return G._power_classes
+
+
+def galois_stable(f: ClassFunction) -> bool:
+    """Whether f(g^s) = sigma_s(f(g)) for every class and every s prime to
+    120, checked exactly once per object and kept in `f.stable`.  The
+    generators suffice: the s that pass are closed under products, since
+    f(g^(st)) = sigma_s(f(g^t)) = sigma_s(sigma_t(f(g)))."""
+    if f.stable is None:
+        values = f.values
+        f.stable = all(values[c] == v.galois(s)
+                       for s, classes in zip(GALOIS_GENERATORS, _power_classes(f.group))
+                       for v, c in zip(values, classes))
+    return f.stable
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> CycloNum:
-    """(1/|G|) sum conj(a(g)) b(g), evaluated class-wise and exactly."""
+    """(1/|G|) sum conj(a(g)) b(g), evaluated class-wise and exactly.
+
+    When a and b are both Galois-stable, sigma_s fixes the sum (g -> g^s
+    permutes G), so it is a rational x = Tr(x) / 32, and Tr is linear:
+    one integer trace form per class, one Fraction in all.  Any other
+    pair takes the CycloNum sum."""
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
     G = a.group
+    if galois_stable(a) and galois_stable(b):
+        num, den = 0, 1
+        for size, va, vb in zip(G.class_sizes, a.values, b.values):
+            d = va.den * vb.den
+            if den % d:
+                num, den = num * d, den * d
+            num += size * (den // d) * trace_form(va, vb)
+        return CycloNum.from_rational(Fraction(num, den * DEGREE * len(G)))
     acc = ZERO
     for size, va, vb in zip(G.class_sizes, a.values, b.values):
         acc = acc + va.conjugate() * vb * size
@@ -118,7 +188,7 @@ def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
 
 
 def trivial_character(G: FiniteGroup) -> ClassFunction:
-    return ClassFunction(G, (ONE,) * G.num_classes)
+    return ClassFunction(G, (ONE,) * G.num_classes, stable=True)
 
 
 def regular_character(G: FiniteGroup) -> ClassFunction:
@@ -142,6 +212,7 @@ def spin_character(G: FiniteGroup, two_j: int) -> ClassFunction:
         cache[0] = trivial_character(G)
     if two_j >= 1 and 1 not in cache:
         cache[1] = ClassFunction(G, (G.elements[r].trace() for r in G.class_reps))
+        galois_stable(cache[1])
     top = max(cache)
     chi1 = cache.get(1)
     for k in range(top + 1, two_j + 1):
@@ -156,7 +227,11 @@ def cyclic_character(H, r: int) -> ClassFunction:
     q = len(G)
     if G.num_classes != q:
         raise ValueError(f"{G.name} is not cyclic")
-    return ClassFunction(G, (root_of_unity(q, r * j) for j in range(q)))
+    # stable when class j is g^j, as _conjugacy orders the classes of a
+    # group whose only generator is g
+    power_order = "g" in G.generators and not G.generators.keys() & {"R", "S", "T"}
+    return ClassFunction(G, (root_of_unity(q, r * j) for j in range(q)),
+                         power_order or None)
 
 
 def restrict(chi: ClassFunction, H: SubgroupHandle) -> ClassFunction:
@@ -165,7 +240,7 @@ def restrict(chi: ClassFunction, H: SubgroupHandle) -> ClassFunction:
         raise ValueError("subgroup does not belong to the function's group")
     sub = H.group
     return ClassFunction(sub, (chi.value_on_element(sub.to_parent[rep])
-                               for rep in sub.class_reps))
+                               for rep in sub.class_reps), chi.stable or None)
 
 
 # -- irrep labels and the table container ------------------------------
@@ -473,7 +548,9 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
                 if m:
                     value = value + root_of_unity(order, e) * m
             values.append(value)
-        chars.append(ClassFunction(G, values))
+        chi = ClassFunction(G, values)
+        galois_stable(chi)
+        chars.append(chi)
     return chars
 
 

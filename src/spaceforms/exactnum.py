@@ -11,7 +11,9 @@ for the whole coefficient vector.  The representation is always fully
 reduced, so equality is plain coefficient comparison and hashing is
 cheap.  Values add, subtract and multiply among themselves, but divide
 by rationals (int or Fraction) only: nothing in the package needs the
-inverse of an irrational value, so none is provided.  Floating point
+inverse of an irrational value, so none is provided.  `trace_form`
+evaluates the trace form Tr(conj(a) b) on the integer coefficients
+alone, for sums that are known to be rational.  Floating point
 only ever appears through `embed_float`, which is for display and
 diagnostics.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 # The exact rational scalar type used throughout the package.
 Rational = Fraction
@@ -101,6 +104,18 @@ if _check != [1] + [0] * (DEGREE - 1):
     raise ArithmeticError("power-row table is inconsistent")
 
 _ZPOW = [cmath.exp(2j * cmath.pi * k / CONDUCTOR) for k in range(CONDUCTOR)]
+
+# Tr(zeta^d) for |d| < DEGREE: the trace of multiplication by zeta^d on the
+# power basis, whose column i is the row of zeta^(d+i).  It is the
+# Ramanujan sum c_120(d), which vanishes unless 4 | d.
+_TRACES = {d: sum(_ROWS[(d + i) % CONDUCTOR][i] for i in range(DEGREE))
+           for d in range(1 - DEGREE, DEGREE)}
+if any(t for d, t in _TRACES.items() if d % 4) or _TRACES[0] != DEGREE:
+    raise ArithmeticError("trace table is inconsistent")
+# _TRACE_ROWS[i][m] = Tr(zeta^(j - i)) for j = i % 4 + 4 m, the only j
+# with a nonzero trace against zeta^-i
+_TRACE_ROWS = tuple(tuple(_TRACES[j - i] for j in range(i % 4, DEGREE, 4))
+                    for i in range(DEGREE))
 
 
 def _normalized(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -311,6 +326,18 @@ def root_of_unity(m: int, k: int = 1) -> CycloNum:
 
 def galois(a: CycloNum, k: int) -> CycloNum:
     return a.galois(k)
+
+
+def trace_form(a: CycloNum, b: CycloNum) -> int:
+    """a.den * b.den * Tr(conj(a) b), an integer, with no field product:
+    Tr(conj(a) b) = sum_{i,j} a_i b_j Tr(zeta^(j - i)), and only the j
+    with 4 | j - i contribute.  A rational x equals Tr(x) / DEGREE."""
+    bnum = b.num
+    total = 0
+    for i, ai in enumerate(a.num):
+        if ai:
+            total += ai * sum(map(mul, _TRACE_ROWS[i], bnum[i & 3::4]))
+    return total
 
 
 def embed_float(a: CycloNum) -> complex:

@@ -293,6 +293,7 @@ class FiniteGroup:
         g.class_sizes = tuple(map(len, g.classes))
         g._char_table = None
         g._spin_chars = {}          # 2j -> spin character (characters)
+        g._power_classes = None     # per Galois generator s, class of rep^s (characters)
         g._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
         g._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
         g._cyclic_subgroups = {}

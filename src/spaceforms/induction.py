@@ -38,7 +38,9 @@ def induce_character(H: SubgroupHandle, chi) -> ClassFunction:
     """(Ind chi)(c) = |G| / (|c| |H|) sum_{h in H cap c} chi(h), one pass
     over H.  This is (1/|H|) sum_{x in G} chi_dot(x^-1 g x) with chi_dot
     extended by zero off H: as x runs over G, x^-1 g x meets each element
-    of the class c of g exactly |G|/|c| times."""
+    of the class c of g exactly |G|/|c| times.  So Ind chi is Galois-stable
+    when chi is: (x^-1 g^s x) = (x^-1 g x)^s lies in H exactly when
+    x^-1 g x does."""
     G = H.parent
     chi = _coerce_subgroup_character(H, chi)
     sums = [ZERO] * G.num_classes
@@ -46,7 +48,8 @@ def induce_character(H: SubgroupHandle, chi) -> ClassFunction:
         c = G.class_of[p]
         sums[c] = sums[c] + chi.value_on_element(pos)
     return ClassFunction(G, (acc / Fraction(size * H.order, len(G))
-                             for acc, size in zip(sums, G.class_sizes)))
+                             for acc, size in zip(sums, G.class_sizes)),
+                         chi.stable or None)
 
 
 def _twist_character(G: FiniteGroup, gen: str, r: int) -> ClassFunction:
@@ -174,13 +177,18 @@ def render_all_columns(G: FiniteGroup) -> str:
                      for line in grid)
 
 
-def column_sum_is_regular(G: FiniteGroup, gen: str) -> bool:
-    """Adding the complete column of inductions gives the regular rep."""
+def column_sum(G: FiniteGroup, gen: str) -> ClassFunction:
+    """The sum of Ind omega^r over the complete column r = 0..q-1."""
     H = G.cyclic_subgroup(gen)
     total = ClassFunction(G, (ZERO,) * G.num_classes)
     for r in range(H.order):
         total = total + induce_character(H, cyclic_character(H, r))
-    return total == regular_character(G)
+    return total
+
+
+def column_sum_is_regular(G: FiniteGroup, gen: str) -> bool:
+    """Adding the complete column of inductions gives the regular rep."""
+    return column_sum(G, gen) == regular_character(G)
 
 
 def nested_handle(K: SubgroupHandle, H: SubgroupHandle) -> SubgroupHandle:

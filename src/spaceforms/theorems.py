@@ -19,11 +19,12 @@ from fractions import Fraction
 
 from ._reference_tables import (REFERENCE_INDUCTIONS, REFERENCE_MATRIX_DEVIATIONS,
                                 REFERENCE_SOLUTION_MATRICES)
-from .characters import _rref, character_table
+from .characters import _rref, character_table, regular_character
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle, verify_generator_conjugations)
-from .induction import (_mat_mul, column_sum_is_regular, induce_character,
-                        induce_twist, induction_table, verify_monomial_rep)
+from .induction import (_mat_mul, column_sum, column_sum_is_regular,
+                        induce_character, induce_twist, induction_table,
+                        verify_monomial_rep)
 from .mckay import (class_correspondence, compactified_diagram, mckay_graph,
                     relink_matches_mckay)
 from .spectra import (ORACLE_MAX_LEVEL, degeneracy, degeneracy_series,
@@ -327,7 +328,8 @@ def sunada_check(G: FiniteGroup, H1: SubgroupHandle, H2: SubgroupHandle,
                  twist1, twist2, n_max: int = 60) -> SunadaVerdict:
     """Test Gamma-equivalence of the induced twists by exact character
     equality; if equivalent, the two quotient spectra must agree level
-    by level for the given twists."""
+    by level for the given twists, and the verdict names the first level
+    where they do not."""
     ind1 = induce_character(H1, twist1)
     ind2 = induce_character(H2, twist2)
     if ind1 != ind2:
@@ -335,10 +337,12 @@ def sunada_check(G: FiniteGroup, H1: SubgroupHandle, H2: SubgroupHandle,
                              "induced characters differ; no spectral claim")
     s1 = degeneracy_series(H1, twist1, n_max)
     s2 = degeneracy_series(H2, twist2, n_max)
-    if s1.entries != s2.entries:
-        raise ContractViolation(
-            "equivalent induced twists but unequal spectra: "
-            "isospectrality failed (internal bug)")
+    n = next((n for n, (a, b) in enumerate(zip(s1.entries, s2.entries)) if a != b),
+             None)
+    if n is not None:
+        return SunadaVerdict(True, False,
+                             f"equivalent induced twists, unequal spectra at "
+                             f"level {n}: {s1[n]} != {s2[n]}")
     return SunadaVerdict(True, True,
                          f"equal series up to level {n_max}")
 
@@ -394,9 +398,19 @@ def _tables(gs, n_max):
             r = next((r for r, row in enumerate(rows) if got[r] != row), None)
             detail = "" if r is None else f"r = {r}: derived {got[r]}, listed {rows[r]}"
             out.append(CheckResult(f"{G.name}:table:{gen}", r is None, detail))
-            out.append(CheckResult(f"{G.name}:column_regular:{gen}",
-                                   column_sum_is_regular(G, gen)))
+            ok = column_sum_is_regular(G, gen)
+            out.append(CheckResult(f"{G.name}:column_regular:{gen}", ok,
+                                   "" if ok else _column_witness(G, gen)))
     return out
+
+
+def _column_witness(G: FiniteGroup, gen: str) -> str:
+    """The first class where the column sum of Ind omega^r differs from
+    the regular character, with both values."""
+    pairs = zip(G.class_labels, column_sum(G, gen).values,
+                regular_character(G).values)
+    label, got, want = next((l, a, b) for l, a, b in pairs if a != b)
+    return f"[{label}]: sum of Ind w^r {got} != regular {want}"
 
 
 def _isospectral(gs, n_max):

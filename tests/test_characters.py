@@ -1,11 +1,13 @@
 import cmath
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
 from spaceforms import groups
-from spaceforms.characters import (TableDerivationError, _dixon_characters,
+from spaceforms.characters import (GALOIS_GENERATORS, ClassFunction,
+                                   TableDerivationError, _dixon_characters,
                                    _rref, _split, character_table,
                                    cyclic_character, inner_product,
                                    inner_product_int, nonnegative_int,
@@ -13,8 +15,10 @@ from spaceforms.characters import (TableDerivationError, _dixon_characters,
                                    regular_character, restrict, spin_character,
                                    trivial_character)
 from spaceforms.cli import main
-from spaceforms.exactnum import ONE, ZERO, embed_float, root_of_unity
+from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, ZERO, embed_float,
+                                 root_of_unity)
 from spaceforms.groups import ContractViolation
+from spaceforms.induction import induce_character
 
 EXPECT_NAMES = {
     "2T": ["1", "1'", "1''", "2s", "2s'", "2s''", "3"],
@@ -389,3 +393,71 @@ def test_chartab_json_is_pinned(capsys):
         assert main(["group", name, "chartab", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, name
+
+
+# -- the trace-form inner product and its Galois-stability guard ---------
+
+
+def _unflagged(f):
+    """A copy of f that the guard treats as not stable, so its inner
+    products take the CycloNum sum."""
+    return ClassFunction(f.group, f.values, stable=False)
+
+
+def _agree(pool, base):
+    """Every pair (a, b) with a in pool + base and b in base.  Pairs of two
+    spin characters, which no caller forms, are left out to keep the test
+    short."""
+    for a in pool + base:
+        assert a.stable is True
+        for b in base:
+            assert inner_product(a, b) == inner_product(_unflagged(a), b)
+
+
+def test_trace_path_equals_the_cyclonum_sum(all_groups):
+    for G in all_groups:
+        spins = [spin_character(G, n) for n in range(61)]
+        table = [ir.char for ir in character_table(G)]
+        induced = [induce_character(G.cyclic_subgroup(gen), r) for gen in "RST"
+                   for r in range(G.cyclic_subgroup(gen).order)]
+        # two rational multiples bring denominators 2 and 3 into the sums
+        scaled = [table[-1] * Fraction(1, 2), induced[-1] * Fraction(-2, 3)]
+        _agree(spins, table + induced + scaled)
+        for gen in "RST":
+            H = G.cyclic_subgroup(gen)
+            _agree([restrict(f, H) for f in spins],
+                   [restrict(f, H) for f in table]
+                   + [cyclic_character(H, r) for r in range(H.order)])
+
+
+def test_a_function_that_is_not_stable_keeps_its_irrational_product(g2i):
+    # zeta_5 on [E] and 1 elsewhere is no character: the guard refuses it
+    f = ClassFunction(g2i, (root_of_unity(5),) + (ONE,) * (g2i.num_classes - 1))
+    got = inner_product(f, trivial_character(g2i))
+    assert f.stable is False
+    assert repr(got) == "(118 + z8 + z12 - z24 - z28)/120"
+    assert got == (root_of_unity(5).conjugate() + (len(g2i) - 1)) / len(g2i)
+    assert inner_product(trivial_character(g2i), f) == got.conjugate()
+
+
+def test_arithmetic_sets_flags_without_the_check(g2t):
+    chi = character_table(g2t)["2s"].char
+    f = ClassFunction(g2t, chi.values)
+    assert (f * chi + f).stable is None and f.stable is None
+    assert (chi * chi - chi * 3).stable is True
+    assert (chi * root_of_unity(3)).stable is None
+    inner_product(f, chi)
+    assert f.stable is True
+
+
+def test_the_galois_generators_generate_all_units():
+    seen, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for s in GALOIS_GENERATORS:
+            y = x * s % CONDUCTOR
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    assert seen == {k for k in range(CONDUCTOR) if math.gcd(k, CONDUCTOR) == 1}
+    assert len(seen) == DEGREE

@@ -1,5 +1,6 @@
 """Property tests for the exact arithmetic: the CycloNum field laws, the
-Galois action and the class-function inner product.
+Galois action, the trace form, the class-function inner product and the
+Galois-stability flags that choose its route.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases."""
@@ -10,8 +11,12 @@ from math import gcd
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from spaceforms.characters import ClassFunction, character_table, inner_product
-from spaceforms.exactnum import CONDUCTOR, DEGREE, ONE, ZERO, CycloNum, root_of_unity
+from spaceforms.characters import (ClassFunction, character_table, galois_stable,
+                                   inner_product, restrict, spin_character,
+                                   trivial_character)
+from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, ZERO, CycloNum, root_of_unity,
+                                 trace_form)
+from spaceforms.induction import induce_character
 
 # no shrink phase: shrinking the dense 32-coefficient examples takes minutes,
 # while the unshrunk counterexample is reported in seconds
@@ -23,7 +28,8 @@ cyclo = st.builds(lambda num, den: CycloNum(tuple(num), den),
                   st.integers(1, 12))
 nonzero_rational = st.builds(Fraction, st.integers(-20, 20).filter(bool),
                              st.integers(1, 20))
-unit = st.sampled_from([k for k in range(1, CONDUCTOR) if gcd(k, CONDUCTOR) == 1])
+UNITS = [k for k in range(1, CONDUCTOR) if gcd(k, CONDUCTOR) == 1]
+unit = st.sampled_from(UNITS)
 
 
 @exact
@@ -68,6 +74,15 @@ def test_conjugate_is_sigma_minus_one_and_an_involution(a):
     assert a.conjugate() == a.galois(CONDUCTOR - 1)
     assert a.conjugate().conjugate() == a
     assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) < 1e-9
+
+
+@exact
+@given(cyclo, cyclo)
+def test_trace_form_is_the_field_trace(a, b):
+    # Tr(x) is the sum of the 32 Galois conjugates of x
+    x = a.conjugate() * b
+    trace = sum((x.galois(k) for k in UNITS), ZERO)
+    assert trace == CycloNum.from_rational(Fraction(trace_form(a, b), a.den * b.den))
 
 
 def _groups():
@@ -120,3 +135,48 @@ def test_inner_product_of_virtual_characters_is_the_integer_dot(pair):
     got = inner_product(chi_a, chi_b)
     assert got == CycloNum.from_rational(sum(x * y for x, y in zip(a, b)))
     assert got.as_integer() == sum(x * y for x, y in zip(a, b))
+
+
+# Stability flags: operands on a group, among them a function that is not
+# stable and an unflagged copy of a stable one, combined by every
+# operation that sets a flag without the check
+SCALARS = (3, Fraction(-2, 5), CycloNum.from_rational(7), root_of_unity(5),
+           root_of_unity(8, 3))
+OPERATIONS = ("add", "sub", "mul", "scale", "rscale", "conjugate", "restrict-induce")
+steps = st.lists(st.tuples(st.sampled_from(OPERATIONS), st.integers(0, 99),
+                           st.integers(0, 99), st.sampled_from(SCALARS),
+                           st.sampled_from("RST")),
+                 min_size=1, max_size=8)
+
+
+def _flag_operands(G):
+    """Flagged operands, two that are not stable and one unflagged copy."""
+    table = character_table(G)
+    k = G.num_classes
+    off_at_e = ClassFunction(G, (root_of_unity(5),) + (ONE,) * (k - 1))
+    off_at_t = ClassFunction(G, table["2s"].char.values[:-1] + (root_of_unity(8),))
+    return [table["2s"].char, table.irreps[-1].char, spin_character(G, 3),
+            trivial_character(G), induce_character(G.cyclic_subgroup("T"), 1),
+            off_at_e, off_at_t, ClassFunction(G, table.irreps[-1].char.values)]
+
+
+@exact
+@given(st.sampled_from(_groups()), steps)
+def test_every_stability_flag_agrees_with_the_exact_check(G, steps):
+    pool = _flag_operands(G)
+    made = []
+    for op, i, j, scalar, gen in steps:
+        f, g = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "restrict-induce":
+            H = G.cyclic_subgroup(gen)
+            made.append(restrict(f, H))
+            out = induce_character(H, made[-1])
+        else:
+            out = {"add": lambda: f + g, "sub": lambda: f - g, "mul": lambda: f * g,
+                   "scale": lambda: f * scalar, "rscale": lambda: scalar * f,
+                   "conjugate": f.conjugate}[op]()
+        made.append(out)
+        pool.append(out)
+    for f in made:
+        if f.stable is not None:
+            assert galois_stable(ClassFunction(f.group, f.values)) is f.stable

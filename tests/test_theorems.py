@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from spaceforms import groups, theorems
-from spaceforms.induction import induce_twist
+from spaceforms import groups, induction, theorems
+from spaceforms._reference_tables import REFERENCE_INDUCTIONS
+from spaceforms.characters import ClassFunction
+from spaceforms.cli import main
+from spaceforms.induction import induce_twist, induction_table
 from spaceforms.spectra import SpectralWeight, degeneracy_series, spectral_sum
 from spaceforms.theorems import (CheckResult, compare_reference_matrices,
                                  reference_system, sector_irreps,
@@ -210,3 +214,47 @@ def test_reference_system_shapes(all_groups):
 def test_check_result_json():
     assert CheckResult("x", True).as_dict() == {"item": "x", "status": "pass",
                                                 "detail": ""}
+
+
+def test_unequal_spectra_of_equivalent_twists_are_a_failing_verdict(
+        monkeypatch, capsys, g2t):
+    # a fresh 2T, so that nothing the patched series touches is kept on
+    # the shared one; the <T> side of the (1, 5) pair is off at level 7
+    monkeypatch.setitem(groups._BUILD_CACHE, (3, 0),
+                        groups.group_from_json(groups.group_to_json(g2t)))
+    series = theorems.degeneracy_series
+
+    def off_at_level_7(target, twist, n_max):
+        s = series(target, twist, n_max)
+        if target.name.endswith("<T>") and twist == 5:
+            entries = list(s.entries)
+            entries[7] += 1
+            s = dataclasses.replace(s, entries=tuple(entries))
+        return s
+    monkeypatch.setattr(theorems, "degeneracy_series", off_at_level_7)
+    code = main(["verify", "sunada", "--nmax", "20"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("FAIL  2T:sunada:(1,5)  [equivalent induced twists, unequal spectra "
+            "at level 7: ") in out
+
+
+def test_a_column_that_misses_the_regular_character_names_the_class(
+        monkeypatch, g2t):
+    # the tables are decomposed first, so that only the column sums see
+    # an induction that is off by one at [-E]
+    G = groups.group_from_json(groups.group_to_json(g2t))
+    for gen in REFERENCE_INDUCTIONS["2T"]:
+        induction_table(G, gen)
+    induce = induction.induce_character
+
+    def off_at_minus_e(H, chi):
+        f = induce(H, chi)
+        return ClassFunction(G, (f.values[0], f.values[1] + 1) + f.values[2:])
+    monkeypatch.setattr(induction, "induce_character", off_at_minus_e)
+    results = [c for c in theorems._tables([G], 20) if ":column_regular:" in c.key]
+    assert len(results) == len(REFERENCE_INDUCTIONS["2T"])
+    for c in results:
+        q = G.cyclic_subgroup(c.key.rsplit(":", 1)[1]).order
+        assert not c.passed
+        assert c.detail == f"[-E]: sum of Ind w^r {q} != regular 0"

@@ -1,9 +1,10 @@
 """Exact work counts of a few cheap commands, pinned.
 
-`tools/workcount.py` counts `CycloNum` additions and multiplications and
-the calls to every entry point perfbench's tracer wraps, one fresh process
-per command.  The counts do not depend on the machine's speed, so a change
-in the work a command does shows here as an exact number; a change that
+`tools/workcount.py` counts `CycloNum` additions and multiplications, the
+calls of the trace-form kernel `exactnum.trace_form` and the calls to every
+entry point perfbench's tracer wraps, one fresh process per command.  The
+counts do not depend on the machine's speed, so a change in the work a
+command does shows here as an exact number; a change that
 moves them updates PINS and says why.  Each command also runs under a
 second hash seed, since a count that depended on set or dict order would
 be no measure at all.
@@ -24,8 +25,9 @@ PINS = {
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 6578,
-        "exactnum.mul": 10058,
+        "exactnum.add": 5444,
+        "exactnum.mul": 7790,
+        "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
     },
     "induce 2I": {
@@ -36,8 +38,9 @@ PINS = {
         "characters.restrict": 198,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 9920,
-        "exactnum.mul": 16430,
+        "exactnum.add": 5600,
+        "exactnum.mul": 7790,
+        "exactnum.trace": 4320,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
         "induction.induce_twist": 42,
@@ -50,8 +53,9 @@ PINS = {
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 6578,
-        "exactnum.mul": 10058,
+        "exactnum.add": 5444,
+        "exactnum.mul": 7790,
+        "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
         "mckay.mckay_graph": 1,
     },
@@ -61,8 +65,9 @@ PINS = {
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 6580,
-        "exactnum.mul": 10071,
+        "exactnum.add": 5446,
+        "exactnum.mul": 7803,
+        "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
         "spectra.degeneracy_series": 1,
         "spectra.levels": 21,
@@ -75,8 +80,9 @@ PINS = {
         "characters.restrict": 484,
         "characters.spin_character": 15,
         "cli.resolve_group": 3,
-        "exactnum.add": 23192,
-        "exactnum.mul": 38728,
+        "exactnum.add": 12287,
+        "exactnum.mul": 16918,
+        "exactnum.trace": 10905,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
         "induction.induce_twist": 60,

@@ -8,12 +8,16 @@ interpreter through `spaceforms.cli.main`, on the checkout's src/.  The
 child counts `CycloNum` additions and multiplications (`__radd__` and
 `__rmul__` included, since `sum()` reaches them) and every call to an entry
 point that `perfbench/tracer.py` wraps, using that tracer's own wrappers.
-The tracer is imported read-only: no bytecode is written under perfbench/.
+It also counts the calls of `exactnum.trace_form`, the integer kernel of
+the rational inner products, which takes the place of their `CycloNum`
+products.  The tracer is imported read-only: no bytecode is written under
+perfbench/.
 
 The output is one JSON object: "src_sha256", the digest of src/spaceforms
 computed the way perfbench computes it, and "commands", command -> {"exit":
 code, counter: count, ...}.  Counter names are `exactnum.add`,
-`exactnum.mul`, `spectra.levels` and `<layer>.<entry point>` (calls).
+`exactnum.mul`, `exactnum.trace`, `spectra.levels` and
+`<layer>.<entry point>` (calls).
 With no COMMAND, the default list below is counted.
 """
 
@@ -56,6 +60,11 @@ def _count_here(command: str) -> dict:
     import spaceforms.cli
     trace = tracer.Tracer()
     tracer.install(trace)
+    kernel = sys.modules["spaceforms.exactnum"].trace_form
+    counting = trace.counted("exactnum.trace", kernel)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spaceforms.") and getattr(mod, "trace_form", None) is kernel:
+            mod.trace_form = counting
     with contextlib.redirect_stdout(io.StringIO()):
         code = spaceforms.cli.main(command.split())
     counts = Counter(trace.counts)
