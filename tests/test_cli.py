@@ -238,6 +238,24 @@ def test_cache_whose_quaternions_break_the_classes_is_refused(capsys, tmp_path):
     assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
 
 
+def test_cache_whose_quaternions_are_galois_swapped_is_refused(capsys, tmp_path, g2i):
+    # every x of [T^2] trades quaternions with x^2 of [T^4]: on these
+    # classes that is sqrt 5 -> -sqrt 5, so the traces stay constant on
+    # each class and every conjugate stays the table's inverse, but the
+    # stored quaternions no longer multiply as the table says
+    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
+    path = tmp_path / "2I.json"
+    doc = json.loads(path.read_text())
+    elements = doc["elements"]
+    for x in g2i.classes[g2i.class_by_label["T^2"]]:
+        x2 = g2i.mult[x][x]
+        elements[x], elements[x2] = elements[x2], elements[x]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+
+
 def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path,
                                                                monkeypatch):
     # only reading a cache file is checked as outside input; a fault while
