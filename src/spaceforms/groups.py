@@ -9,6 +9,17 @@ relations exactly before returning.  A group is a value: nothing changes
 its generators, presentation or classes after construction
 (`adopt_presentation_triple` returns a new group).
 
+Every coordinate of 2T, 2O and 2I under the shipped triples is
+(p + q sqrt d)/4 with p and q integers: d = 5 on 2I (the icosians), d = 2
+on 2O and q = 0 on 2T (the Hurwitz units); see Conway and Smith, On
+Quaternions and Octonions (2003), ch. 5.  So the build walks integer
+8-tuples on that lattice, and each product divides an integer form by 4
+exactly or raises.  The fact is checked, not assumed: the lattice reader
+compares all 32 coefficients of a coordinate with its (p, q), on the
+generators of a build and on every coordinate of a cache document, whose
+loader then proves in the same integers that the stored quaternions
+multiply as the stored table says.
+
 The generator constants below are not taken on trust: any triple passing
 the relation checks is acceptable, and `generator_triple(..., variant=1)`
 provides a second valid triple per group so invariance of downstream
@@ -17,8 +28,8 @@ results under the choice can be tested.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import operator
 import os
 
@@ -115,6 +126,89 @@ def _half(*coords) -> Quat:
     return Quat(*(c / 2 for c in coords))
 
 
+# -- the lattice Z[sqrt d]/4 ------------------------------------------
+#
+# A lattice quaternion is the 8-tuple (p_w, q_w, p_x, q_x, p_y, q_y, p_z,
+# q_z) of integers, each coordinate (p + q sqrt d)/4.  With d = 1 the
+# reader finds q = 0: sqrt 1 has no irrational coefficient to read q off.
+
+_SQRT = {1: ONE, 2: root_of_unity(8, 1) + root_of_unity(8, -1),
+         5: (root_of_unity(5, 1) + root_of_unity(5, -1)) * 2 + 1}
+if any(r * r != d or r.den != 1 for d, r in _SQRT.items()):
+    raise ArithmeticError("a square root in the lattice table is wrong")
+# per d: the coefficients of sqrt d and the first irrational one
+_SQRT_COEFFS = {d: (r.num, next((k for k in range(1, DEGREE) if r.num[k]), 0))
+                for d, r in _SQRT.items()}
+
+
+def radicand(n: int) -> int:
+    """d of the lattice that holds <2,3,n>: 2 on 2O, 5 on 2I, and 1
+    (rational coordinates) on 2T or any other presentation."""
+    return {4: 2, 5: 5}.get(n, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_pair(num: tuple, den: int, d: int) -> tuple[int, int]:
+    """(p, q) with num/den = (p + q sqrt d)/4: q and p are read off one
+    irrational coefficient of sqrt d and off the rational one, then all 32
+    coefficients are compared in integers."""
+    root, k = _SQRT_COEFFS[d]
+    q = 4 * num[k] // (den * root[k]) if k else 0
+    p = (4 * num[0] - den * q * root[0]) // den
+    want = [den * q * r for r in root]
+    want[0] += den * p
+    if [4 * a for a in num] != want:
+        raise ArithmeticError(f"a coordinate is off the lattice Z[sqrt {d}]/4")
+    return p, q
+
+
+def lattice_quat(e: Quat, d: int) -> tuple[int, ...]:
+    """The lattice form of e; ArithmeticError when a coordinate is off it."""
+    return tuple(v for c in (e.w, e.x, e.y, e.z)
+                 for v in _lattice_pair(c.num, c.den, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_number(p: int, q: int, d: int) -> CycloNum:
+    root = _SQRT_COEFFS[d][0]
+    return CycloNum((p + q * root[0], *(q * r for r in root[1:])), 4)
+
+
+def lattice_to_quat(a: tuple[int, ...], d: int) -> Quat:
+    """The `Quat` of a lattice quaternion, one `CycloNum` per (p, q) pair."""
+    return Quat(*(_lattice_number(a[i], a[i + 1], d) for i in (0, 2, 4, 6)))
+
+
+def lattice_mul(a: tuple[int, ...], b: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The product of two lattice quaternions.  It is an integer bilinear
+    form over 16, so it is on the lattice only when that form divides by
+    4 exactly; ArithmeticError when it does not."""
+    pw, qw, px, qx, py, qy, pz, qz = a
+    Pw, Qw, Px, Qx, Py, Qy, Pz, Qz = b
+    w = (pw * Pw - px * Px - py * Py - pz * Pz
+         + d * (qw * Qw - qx * Qx - qy * Qy - qz * Qz))
+    w_ = pw * Qw + qw * Pw - px * Qx - qx * Px - py * Qy - qy * Py - pz * Qz - qz * Pz
+    x = (pw * Px + px * Pw + py * Pz - pz * Py
+         + d * (qw * Qx + qx * Qw + qy * Qz - qz * Qy))
+    x_ = pw * Qx + qw * Px + px * Qw + qx * Pw + py * Qz + qy * Pz - pz * Qy - qz * Py
+    y = (pw * Py - px * Pz + py * Pw + pz * Px
+         + d * (qw * Qy - qx * Qz + qy * Qw + qz * Qx))
+    y_ = pw * Qy + qw * Py - px * Qz - qx * Pz + py * Qw + qy * Pw + pz * Qx + qz * Px
+    z = (pw * Pz + px * Py - py * Px + pz * Pw
+         + d * (qw * Qz + qx * Qy - qy * Qx + qz * Qw))
+    z_ = pw * Qz + qw * Pz + px * Qy + qx * Py - py * Qx - qy * Px + pz * Qw + qz * Pw
+    if (w | w_ | x | x_ | y | y_ | z | z_) & 3:
+        raise ArithmeticError(f"a product leaves the lattice Z[sqrt {d}]/4")
+    return w >> 2, w_ >> 2, x >> 2, x_ >> 2, y >> 2, y_ >> 2, z >> 2, z_ >> 2
+
+
+def _is_lattice_unit(a: tuple[int, ...], d: int) -> bool:
+    """Norm 1: sum of (p + q sqrt d)^2 over the coordinates is 16."""
+    p, q = a[0::2], a[1::2]
+    return (sum(x * x for x in p) + d * sum(y * y for y in q) == 16
+            and sum(map(operator.mul, p, q)) == 0)
+
+
 def generator_triple(n: int, variant: int = 0) -> tuple[Quat, Quat, Quat]:
     """A quaternion triple (R, S, T) satisfying R^2 = S^3 = T^n = RST.
 
@@ -130,7 +224,7 @@ def generator_triple(n: int, variant: int = 0) -> tuple[Quat, Quat, Quat]:
             t = _half(ONE, ONE, -ONE, ONE)
         return s * t, s, t
     if n == 4:
-        r2 = root_of_unity(8, 1) + root_of_unity(8, -1)   # sqrt(2)
+        r2 = _SQRT[2]
         s = _half(ONE, ONE, ONE, ONE)
         if variant == 0:
             t = Quat(r2 / 2, r2 / 2, ZERO, ZERO)
@@ -138,7 +232,7 @@ def generator_triple(n: int, variant: int = 0) -> tuple[Quat, Quat, Quat]:
             t = Quat(r2 / 2, ZERO, r2 / 2, ZERO)
         return s * t, s, t
     if n == 5:
-        tau = root_of_unity(10, 1) + root_of_unity(10, -1)  # golden ratio
+        tau = (_SQRT[5] + 1) / 2    # golden ratio
         tinv = tau - 1
         t = _half(tau, ONE, tinv, ZERO)
         s = _half(ONE, ONE, ONE, ONE) if variant == 0 else _half(ONE, ONE, ONE, -ONE)
@@ -170,12 +264,13 @@ def _walk(start, gens, step):
     return nodes, parent, action
 
 
-def _closure(gens: list[Quat]):
-    """Walk from the identity by left multiplication.  Returns the elements
-    in discovery order, every element's left-multiplication row (composed
-    along the walk's tree, so only the |gens|*|G| quaternion products of
-    the walk itself are needed) and each generator's index."""
-    elements, parent, action = _walk(QUAT_ONE, gens, lambda g, x: g * x)
+def _closure(gens, one=QUAT_ONE, step=operator.mul):
+    """Walk from the identity `one` by left multiplication, `step(g, x)`.
+    Returns the elements in discovery order, every element's
+    left-multiplication row (composed along the walk's tree, so only the
+    |gens|*|G| quaternion products of the walk itself are needed) and each
+    generator's index."""
+    elements, parent, action = _walk(one, gens, step)
     left = [list(range(len(elements)))]
     for k, src in parent[1:]:
         left.append([action[k][j] for j in left[src]])
@@ -505,28 +600,31 @@ def polyhedral_n(name: str) -> int | None:
 
 def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
     """Enumerate <2,3,n> from quaternion generators and verify the
-    presentation relations exactly."""
+    presentation relations exactly, all in the lattice Z[sqrt d]/4."""
     if n not in GROUP_NAMES:
         raise ValueError(f"unsupported presentation <2,3,{n}>")
     key = (n, variant)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
-    R, S, T = generator_triple(n, variant)
-    rst = R * S * T
+    d = radicand(n)
+    triple = generator_triple(n, variant)
+    R, S, T = (lattice_quat(g, d) for g in triple)
+    one, mul = lattice_quat(QUAT_ONE, d), functools.partial(lattice_mul, d=d)
+    rst = mul(mul(R, S), T)
     for label, q, k in (("R^2", R, 2), ("S^3", S, 3), ("T^n", T, n)):
-        if math.prod([q] * k, start=QUAT_ONE) != rst:
+        if functools.reduce(mul, [q] * k, one) != rst:
             raise GroupConstructionError(
                 f"relation {label} = RST fails for <2,3,{n}>")
     # RST = -E is the central element, so (RST)^2 = E
-    if rst != -QUAT_ONE:
+    if rst != lattice_quat(-QUAT_ONE, d):
         raise GroupConstructionError("RST = -E fails")
-    if not _least_rotation(T, n):
+    if not _least_rotation(triple[2], n):
         raise GroupConstructionError(f"T is not the rotation by pi/{n}")
 
     name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
     # RST is named but not walked: the walk order fixes the element order
-    elements, left, (r, s, t) = _closure([R, S, T])
-    G = FiniteGroup._make(name, elements, left,
+    nodes, left, (r, s, t) = _closure([R, S, T], one, mul)
+    G = FiniteGroup._make(name, [lattice_to_quat(a, d) for a in nodes], left,
                           {"R": r, "S": s, "T": t, "RST": left[left[r][s]][t]},
                           presentation=(2, 3, n))
     # |<2,3,n>| = 4 / (1/2 + 1/3 + 1/n - 1)
@@ -538,8 +636,8 @@ def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
     for gname, gorder in (("R", 4), ("S", 6), ("T", 2 * n)):
         if G.orders[G.generators[gname]] != gorder:
             raise GroupConstructionError(f"generator {gname} has wrong order")
-    for i, e in enumerate(G.elements):
-        if not e.is_unit():
+    for i, a in enumerate(nodes):
+        if not _is_lattice_unit(a, d):
             raise GroupConstructionError("non-unit element in closure")
         if CONDUCTOR % G.orders[i] != 0:
             raise GroupConstructionError(
@@ -717,42 +815,54 @@ def group_from_json(doc: dict) -> FiniteGroup:
                  "mult_table", f"a table whose every {what} is a permutation")
     _require(isinstance(gens, dict) and all(
         type(i) is int and 0 <= i < len(perm) for i in gens.values())
-             and (pres is None or {"R", "S", "T", "RST"} <= gens.keys()),
+             and {"R", "S", "T", "RST"} <= gens.keys(),
              "generators", "a map from names to element indices, "
-             "with R, S, T and RST when there is a presentation")
-    _require(pres is None or _ints(pres, 3) and all(0 < k <= len(perm) for k in pres),
-             "presentation", "null or 3 ints from 1 to the number of elements")
-    elements = [Quat(*(CycloNum(tuple(c["num"]), c["den"]) for c in e))
-                for e in elements]
-    index = {e: i for i, e in enumerate(elements)}
-    _require(elements[0] == QUAT_ONE and all(
-        mult[g][index.get(e.conjugate(), 0)] == 0 for g, e in enumerate(elements)),
-             "mult_table", "a table in which element 0 is the quaternion 1 and "
-             "each element times its conjugate (its inverse) is element 0")
-    _require(pres is None or _least_rotation(elements[gens["T"]], pres[2]),
+             "with R, S, T and RST")
+    _require(_ints(pres, 3) and all(0 < k <= len(perm) for k in pres),
+             "presentation", "3 ints from 1 to the number of elements")
+    d = radicand(pres[2])
+    try:
+        lattice = [tuple(v for c in e
+                         for v in _lattice_pair(tuple(c["num"]), c["den"], d))
+                   for e in elements]
+    except ArithmeticError:
+        lattice = []
+    _require(len(set(lattice)) == len(perm), "elements", "a list of distinct "
+             f"quaternions whose coordinates are (p + q sqrt {d})/4, p and q integers")
+    elements = [lattice_to_quat(a, d) for a in lattice]
+    _require(elements[0] == QUAT_ONE,
+             "mult_table", "a table in which element 0 is the quaternion 1")
+    _require(_least_rotation(elements[gens["T"]], pres[2]),
              "generators", "a triple whose T is the rotation by the least angle, "
              "tr T = 2cos(pi/n)")
-    G = FiniteGroup._make(doc["name"], elements, mult, gens,
-                          presentation=tuple(pres) if pres else None)
-    if pres is not None:
-        # The relations, generation by R, S, T and Light's associativity
-        # test on them (Clifford and Preston 1961) make the table a
-        # quotient of <l,m,n> (von Dyck).  RST = -E lies in every nontrivial
-        # normal subgroup of 2T, 2O and 2I, so with RST != E the quotient
-        # is <l,m,n> itself.
-        t = G.mult
-        R, S, T, rst = (gens[k] for k in ("R", "S", "T", "RST"))
-        _require([t[t[R][S]][T], *map(G.power, (R, S, T), pres)] == [rst] * 4
-                 and rst != 0 and t[rst][rst] == 0,
-                 "generators", "a triple with R^l = S^m = T^n = RST = R*S*T, "
-                 "RST not element 0 and RST^2 element 0")
-        _require(len(G.tree) == len(G), "mult_table", "a table generated by R, S and T")
-        # Light's test in row form: row(x s) is row(x) read at row(s)
-        read_at = [(s, operator.itemgetter(*t[s])) for s in (R, S, T)]
-        _require(all(t[row[s]] == get(row) for s, get in read_at for row in t),
-                 "mult_table", "associative (Light's test on R, S and T)")
-    _require(all(len({elements[x].w for x in c}) == 1 for c in G.classes),
-             "elements", "a list of quaternions with one trace on each class of the table")
+    G = FiniteGroup._make(doc["name"], elements, mult, gens, presentation=tuple(pres))
+    # The relations, generation by R, S, T and Light's associativity test
+    # on them (Clifford and Preston 1961) make the table a quotient of
+    # <l,m,n> (von Dyck).  RST = -E lies in every nontrivial normal
+    # subgroup of 2T, 2O and 2I, so with RST != E the quotient is <l,m,n>
+    # itself.
+    t = G.mult
+    R, S, T, rst = (gens[k] for k in ("R", "S", "T", "RST"))
+    _require([t[t[R][S]][T], *map(G.power, (R, S, T), pres)] == [rst] * 4
+             and rst != 0 and t[rst][rst] == 0,
+             "generators", "a triple with R^l = S^m = T^n = RST = R*S*T, "
+             "RST not element 0 and RST^2 element 0")
+    _require(len(G.tree) == len(G), "mult_table", "a table generated by R, S and T")
+    # Light's test in row form: row(x s) is row(x) read at row(s)
+    read_at = [(s, operator.itemgetter(*t[s])) for s in (R, S, T)]
+    _require(all(t[row[s]] == get(row) for s, get in read_at for row in t),
+             "mult_table", "associative (Light's test on R, S and T)")
+    # With q(E) = 1 and generation, q(s) q(x) = q(s x) for s = R, S, T
+    # makes x -> q(x) a homomorphism, by induction on the length of a
+    # word, and the quaternions are distinct: they are the group the table
+    # says, so the traces are constant on classes and conjugates invert.
+    try:
+        hom = all(lattice_mul(lattice[s], a, d) == lattice[t[s][x]]
+                  for s in (R, S, T) for x, a in enumerate(lattice))
+    except ArithmeticError:
+        hom = False
+    _require(hom, "elements", "a list of quaternions that multiply as the table "
+             "says, q(s) q(x) = q(s x) for s = R, S, T and every x")
     return G
 
 

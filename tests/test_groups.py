@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -226,8 +227,33 @@ def test_bad_presentation_rejected():
             QUAT_ONE.w * 2, QUAT_ONE.x, QUAT_ONE.y, QUAT_ONE.z)})
 
 
+def test_a_product_that_leaves_the_lattice_raises():
+    # w = 1/4: its square has w = 1/16, which is not (p + q sqrt d)/4
+    quarter = (1, 0, 0, 0, 0, 0, 0, 0)
+    for d in (1, 2, 5):
+        with pytest.raises(ArithmeticError, match="leaves the lattice"):
+            groups.lattice_mul(quarter, quarter, d)
+    # cos(pi/6) = sqrt 3 / 2 is on none of them, and sqrt 5 is not on 2T's
+    with pytest.raises(ArithmeticError, match="off the lattice"):
+        groups.lattice_quat(cyclic_group(12).elements[1], 5)
+    with pytest.raises(ArithmeticError, match="off the lattice"):
+        groups.lattice_quat(generator_triple(5)[2], 1)
+
+
+def test_cached_coordinates_off_the_lattice_are_refused(g2t, g2i):
+    # 1/8 on 2I, and 2I's T, whose w is (1 + sqrt 5)/4, on 2T
+    eighth = {"num": [1] + [0] * 31, "den": 8}
+    doc = group_to_json(g2i)
+    doc["elements"][5] = [eighth] + doc["elements"][5][1:]
+    docs = [doc, group_to_json(g2t)]
+    docs[1]["elements"][5] = group_to_json(g2i)["elements"][g2i.generators["T"]]
+    for doc in docs:
+        with pytest.raises(ValueError, match=r"^field 'elements' .* \(p \+ q sqrt"):
+            group_from_json(doc)
+
+
 def test_cyclic_groups():
-    for q in (1, 2, 4, 6, 10, 12):
+    for q in (q for q in range(1, 121) if 120 % q == 0):
         Z = cyclic_group(q)
         assert len(Z) == q
         assert Z.num_classes == q
@@ -249,6 +275,23 @@ def test_serialization_roundtrip(g2t, tmp_path):
     groups.save_group(g2t, str(path))
     G3 = groups.load_group(str(path))
     assert G3.mult == g2t.mult
+
+
+# SHA-256 and length of json.dumps(group_to_json(G)): the golden digests
+# hash stdout only, so a build that reordered the elements or wrote a
+# coordinate another way would pass them
+CACHE_DOCUMENTS = {
+    "2T": ("dc3a48b1ae20eeb42a97d66db457bcf2d38658f81b0728bf36019a54e5da769f", 13592),
+    "2O": ("002a5883468594e60c05e97292a242947e77267a94f82517e9110398ae63e7d7", 31664),
+    "2I": ("fad9dae0b6e053fd9495185952be1a92d9ea7b9f0a7be79403131862c1f837c1", 116024),
+}
+
+
+def test_cache_documents_are_pinned(all_groups):
+    for G in all_groups:
+        text = json.dumps(group_to_json(G))
+        assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == \
+            CACHE_DOCUMENTS[G.name]
 
 
 def test_cache_documents_hold_no_class_data(g2t):
@@ -323,7 +366,7 @@ def test_group_document_shape_errors_name_the_field(g2t):
         with pytest.raises(ValueError, match=f"^field '{field}' is not present"):
             group_from_json(doc)
     # each passes every check above and fails one check of the table
-    # against its presentation or of the quaternions against the classes
+    # against its presentation or of the quaternions against the table
     for field, doc in _documents_failing_one_table_check(g2t):
         with pytest.raises(ValueError, match=f"^field '{field}' is not "):
             group_from_json(doc)
@@ -377,17 +420,20 @@ def _documents_failing_one_table_check(G):
 
 
 def test_cached_table_validation_checks_identity_and_inverses(g2t):
-    # relabelling two elements in the table only keeps it a group table
-    # (a valid Latin square), but it no longer matches the quaternions,
-    # whose conjugates give the inverses
-    c = next(i for i in range(2, len(g2t)) if i != g2t.inv[1])
+    # relabelling two elements away from E and the generators keeps the
+    # table a group table with the same relations, but it no longer
+    # matches the quaternions: the stored inverses (conjugates) and the
+    # stored products disagree with it
+    named = {0, *g2t.generators.values()}
+    a = next(i for i in range(len(g2t)) if i not in named)
+    c = next(i for i in range(len(g2t)) if i not in named | {a, g2t.inv[a]})
     perm = list(range(len(g2t)))
-    perm[1], perm[c] = c, 1
+    perm[a], perm[c] = c, a
     n = len(g2t)
     doc = group_to_json(g2t)
-    doc["mult_table"] = [[perm[g2t.mult[perm[a]][perm[b]]] for b in range(n)]
-                         for a in range(n)]
-    with pytest.raises(ValueError, match="inverse"):
+    doc["mult_table"] = [[perm[g2t.mult[perm[x]][perm[y]]] for y in range(n)]
+                         for x in range(n)]
+    with pytest.raises(ValueError, match="^field 'elements' .* multiply as the table"):
         group_from_json(doc)
     doc = group_to_json(g2t)
     doc["mult_table"][0] = list(reversed(doc["mult_table"][0]))

@@ -1,6 +1,7 @@
 """Property tests for the exact arithmetic: the CycloNum field laws, the
-Galois action, the trace form, the class-function inner product and the
-Galois-stability flags that choose its route.
+Galois action, the trace form, the class-function inner product, the
+Galois-stability flags that choose its route, and the integer quaternion
+product on the lattice Z[sqrt d]/4 that builds the groups.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases."""
@@ -16,6 +17,7 @@ from spaceforms.characters import (ClassFunction, character_table, galois_stable
                                    trivial_character)
 from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, ZERO, CycloNum, root_of_unity,
                                  trace_form)
+from spaceforms.groups import lattice_mul, lattice_quat, lattice_to_quat
 from spaceforms.induction import induce_character
 
 # no shrink phase: shrinking the dense 32-coefficient examples takes minutes,
@@ -83,6 +85,20 @@ def test_trace_form_is_the_field_trace(a, b):
     x = a.conjugate() * b
     trace = sum((x.galois(k) for k in UNITS), ZERO)
     assert trace == CycloNum.from_rational(Fraction(trace_form(a, b), a.den * b.den))
+
+
+lattice = st.lists(st.integers(-9, 9), min_size=8, max_size=8).map(tuple)
+
+
+@exact
+@given(st.sampled_from([2, 5]), lattice, lattice)
+def test_lattice_product_is_the_quaternion_product(d, a, b):
+    # b is scaled into (Z[sqrt d])^4, so both products stay on the lattice
+    b = tuple(4 * v for v in b)
+    for x, y in ((a, b), (b, a)):
+        product = lattice_mul(x, y, d)
+        assert lattice_to_quat(product, d) == lattice_to_quat(x, d) * lattice_to_quat(y, d)
+        assert lattice_quat(lattice_to_quat(product, d), d) == product
 
 
 def _groups():
