@@ -270,6 +270,27 @@ def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path
     assert not (tmp_path / "2T.json").exists()
 
 
+def test_a_singular_system_inside_verify_matrices_is_internal(capsys, monkeypatch):
+    # the reference systems are invertible, so a solver that finds no pivot
+    # is a fault of the library, not a usage error
+    monkeypatch.setattr(theorems, "_rref", lambda rows, modulus: (rows, []))
+    code, out, err = run(capsys, "verify", "matrices")
+    assert code == 3 and out == ""
+    assert err.startswith("internal contract violation: verify matrices: singular system")
+
+
+def test_a_broken_homomorphism_inside_verify_induced_matrices_is_internal(
+        capsys, monkeypatch):
+    # an induced monomial representation that is not a homomorphism on H
+    # is a fault of the library, not a usage error
+    from spaceforms import induction
+    monkeypatch.setattr(induction, "_mat_mul", lambda A, B: A)
+    code, out, err = run(capsys, "verify", "induced-matrices")
+    assert code == 3 and out == ""
+    assert err.startswith("internal contract violation: verify induced-matrices: "
+                          "inducing map is not a homomorphism")
+
+
 def test_table_derivation_error_is_internal(capsys, monkeypatch):
     # a checked group whose table cannot be derived is a fault of the
     # library, not a failed verification: exit 3, no traceback
