@@ -246,13 +246,19 @@ def cmd_mckay(args) -> int:
 
 def _verify_items(which: str, n_max: int, cache: str | None):
     """Run one registry item, or all in order, resolving each group they
-    read once."""
+    read once.  The groups are outside input; past them, a `ValueError` or
+    `LookupError` raised inside an item is a fault of the library."""
     items = theorems.VERIFY_ITEMS
-    chosen = list(items.values()) if which == "all" else [items[which]]
-    selectors = dict.fromkeys(sel for sels, _ in chosen for sel in sels)
+    chosen = list(items.items()) if which == "all" else [(which, items[which])]
+    selectors = dict.fromkeys(sel for _, (sels, _) in chosen for sel in sels)
     groups = {sel: resolve_group(sel, cache) for sel in selectors}
-    return [result for sels, check in chosen
-            for result in check([groups[sel] for sel in sels], n_max)]
+    results = []
+    for name, (sels, check) in chosen:
+        try:
+            results += check([groups[sel] for sel in sels], n_max)
+        except (ValueError, LookupError) as exc:
+            raise ContractViolation(f"verify {name}: {exc}") from exc
+    return results
 
 
 def cmd_verify(args) -> int:

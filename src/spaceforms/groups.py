@@ -15,10 +15,10 @@ on 2O and q = 0 on 2T (the Hurwitz units); see Conway and Smith, On
 Quaternions and Octonions (2003), ch. 5.  So the build walks integer
 8-tuples on that lattice, and each product divides an integer form by 4
 exactly or raises.  The fact is checked, not assumed: the lattice reader
-compares all 32 coefficients of a coordinate with its (p, q), on the
-generators of a build and on every coordinate of a cache document, whose
-loader then proves in the same integers that the stored quaternions
-multiply as the stored table says.
+compares all 32 coefficients of a coordinate with its (p, q) on the
+generators of a build.  A cache document stores only R, S and T in that
+lattice form, so loading one is a build from them, with every check a
+build makes.
 
 The generator constants below are not taken on trust: any triple passing
 the relation checks is acceptable, and `generator_triple(..., variant=1)`
@@ -119,7 +119,8 @@ def _least_rotation(t: Quat, n: int) -> bool:
     """tr T = 2cos(pi/n): T is the rotation by the least angle, the
     convention the classical irrep names assume.  The other inner class
     of triples has tr T = 2cos(3pi/n) on 2O and 2I."""
-    return n > 0 and CONDUCTOR % (2 * n) == 0 and t.w == _cos_sin(2 * n)[0]
+    return (n > 0 and CONDUCTOR % (2 * n) == 0
+            and t.w == (root_of_unity(2 * n, 1) + root_of_unity(2 * n, -1)) / 2)
 
 
 def _half(*coords) -> Quat:
@@ -599,16 +600,24 @@ def polyhedral_n(name: str) -> int | None:
 
 
 def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
-    """Enumerate <2,3,n> from quaternion generators and verify the
-    presentation relations exactly, all in the lattice Z[sqrt d]/4."""
+    """<2,3,n> from the shipped generator triple, built once per process."""
     if n not in GROUP_NAMES:
         raise ValueError(f"unsupported presentation <2,3,{n}>")
     key = (n, variant)
-    if key in _BUILD_CACHE:
-        return _BUILD_CACHE[key]
+    if key not in _BUILD_CACHE:
+        d = radicand(n)
+        name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
+        _BUILD_CACHE[key] = _build(name, n, *(lattice_quat(g, d)
+                                              for g in generator_triple(n, variant)))
+    return _BUILD_CACHE[key]
+
+
+def _build(name: str, n: int, R: tuple, S: tuple, T: tuple) -> FiniteGroup:
+    """Enumerate <2,3,n> from the lattice quaternions R, S, T and verify
+    the presentation relations exactly, all in the lattice Z[sqrt d]/4.
+    GroupConstructionError when a check fails, ArithmeticError when a
+    product leaves the lattice."""
     d = radicand(n)
-    triple = generator_triple(n, variant)
-    R, S, T = (lattice_quat(g, d) for g in triple)
     one, mul = lattice_quat(QUAT_ONE, d), functools.partial(lattice_mul, d=d)
     rst = mul(mul(R, S), T)
     for label, q, k in (("R^2", R, 2), ("S^3", S, 3), ("T^n", T, n)):
@@ -618,10 +627,9 @@ def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
     # RST = -E is the central element, so (RST)^2 = E
     if rst != lattice_quat(-QUAT_ONE, d):
         raise GroupConstructionError("RST = -E fails")
-    if not _least_rotation(triple[2], n):
+    if not _least_rotation(lattice_to_quat(T, d), n):
         raise GroupConstructionError(f"T is not the rotation by pi/{n}")
 
-    name = GROUP_NAMES[n][0] + ("" if variant == 0 else f"#{variant}")
     # RST is named but not walked: the walk order fixes the element order
     nodes, left, (r, s, t) = _closure([R, S, T], one, mul)
     G = FiniteGroup._make(name, [lattice_to_quat(a, d) for a in nodes], left,
@@ -642,7 +650,6 @@ def build_binary_polyhedral(n: int = 3, variant: int = 0) -> FiniteGroup:
         if CONDUCTOR % G.orders[i] != 0:
             raise GroupConstructionError(
                 "element order does not divide the conductor")
-    _BUILD_CACHE[key] = G
     return G
 
 
@@ -763,9 +770,8 @@ def verify_generator_conjugations(G: FiniteGroup) -> list[tuple[str, bool, str]]
 SCHEMA = "spaceforms/1"
 
 
-def _ints(v, length=None) -> bool:
-    return (isinstance(v, list) and set(map(type, v)) <= {int}
-            and length in (None, len(v)))
+def _ints(v, length: int) -> bool:
+    return isinstance(v, list) and len(v) == length and set(map(type, v)) <= {int}
 
 
 def _require(ok: bool, field: str, want: str) -> None:
@@ -774,96 +780,41 @@ def _require(ok: bool, field: str, want: str) -> None:
 
 
 def group_to_json(G: FiniteGroup) -> dict:
-    """JSON document with elements as coefficient vectors and the
-    multiplication table (cache format); the loader recomputes the
-    classes from the table."""
+    """The cache document of a group built by `build_binary_polyhedral`:
+    its name, presentation and R, S, T as lattice quaternions, all that
+    the build takes."""
+    d = radicand(G.presentation[2])
     return {
         "schema": SCHEMA,
         "kind": "group",
         "name": G.name,
-        "presentation": list(G.presentation) if G.presentation else None,
-        "elements": [[{"num": list(c.num), "den": c.den} for c in (e.w, e.x, e.y, e.z)]
-                     for e in G.elements],
-        "mult_table": [list(row) for row in G.mult],
-        "generators": dict(G.generators),
+        "presentation": list(G.presentation),
+        "generators": {k: list(lattice_quat(G.elements[G.generators[k]], d))
+                       for k in ("R", "S", "T")},
     }
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
+    """Build the group of a cache document from its R, S and T, with every
+    check of a build; a new group each call, outside `_BUILD_CACHE`."""
     if (not isinstance(doc, dict) or doc.get("schema") != SCHEMA
             or doc.get("kind") != "group"):
         raise ValueError("not a group document")
-    for field in ("name", "elements", "mult_table", "generators"):
+    for field in ("name", "presentation", "generators"):
         _require(field in doc, field, "present")
-    elements, mult, gens = doc["elements"], doc["mult_table"], doc["generators"]
-    pres = doc.get("presentation")
-    _require(isinstance(elements, list) and elements
-             and all(isinstance(e, list) and len(e) == 4 for e in elements)
-             and all(isinstance(c, dict) and _ints(c.get("num"), DEGREE)
-                     and type(c.get("den")) is int and c["den"] > 0
-                     for e in elements for c in e),
-             "elements", "a non-empty list of quaternions with 4 coordinates "
-             f"{{num: {DEGREE} ints, den: positive int}}")
-    perm = list(range(len(elements)))
-    _require(isinstance(mult, list) and len(mult) == len(perm)
-             and all(_ints(row, len(perm)) for row in mult),
-             "mult_table", f"a {len(perm)} x {len(perm)} table of ints")
-    _require(mult[0] == perm and [row[0] for row in mult] == perm,
-             "mult_table", "a table whose element 0 is the identity")
-    for what, lines in (("row", mult), ("column", zip(*mult))):
-        _require(all(sorted(line) == perm for line in lines),
-                 "mult_table", f"a table whose every {what} is a permutation")
-    _require(isinstance(gens, dict) and all(
-        type(i) is int and 0 <= i < len(perm) for i in gens.values())
-             and {"R", "S", "T", "RST"} <= gens.keys(),
-             "generators", "a map from names to element indices, "
-             "with R, S, T and RST")
-    _require(_ints(pres, 3) and all(0 < k <= len(perm) for k in pres),
-             "presentation", "3 ints from 1 to the number of elements")
-    d = radicand(pres[2])
+    name, pres, gens = doc["name"], doc["presentation"], doc["generators"]
+    _require(isinstance(name, str), "name", "a string")
+    _require(_ints(pres, 3) and pres[:2] == [2, 3] and pres[2] in GROUP_NAMES,
+             "presentation", "[2, 3, n] with n = 3, 4 or 5")
+    _require(isinstance(gens, dict) and gens.keys() == {"R", "S", "T"}
+             and all(_ints(v, 8) for v in gens.values()),
+             "generators", "a map from R, S and T to lattice quaternions, "
+             "8 ints (p_w, q_w, ..., p_z, q_z) each")
     try:
-        lattice = [tuple(v for c in e
-                         for v in _lattice_pair(tuple(c["num"]), c["den"], d))
-                   for e in elements]
-    except ArithmeticError:
-        lattice = []
-    _require(len(set(lattice)) == len(perm), "elements", "a list of distinct "
-             f"quaternions whose coordinates are (p + q sqrt {d})/4, p and q integers")
-    elements = [lattice_to_quat(a, d) for a in lattice]
-    _require(elements[0] == QUAT_ONE,
-             "mult_table", "a table in which element 0 is the quaternion 1")
-    _require(_least_rotation(elements[gens["T"]], pres[2]),
-             "generators", "a triple whose T is the rotation by the least angle, "
-             "tr T = 2cos(pi/n)")
-    G = FiniteGroup._make(doc["name"], elements, mult, gens, presentation=tuple(pres))
-    # The relations, generation by R, S, T and Light's associativity test
-    # on them (Clifford and Preston 1961) make the table a quotient of
-    # <l,m,n> (von Dyck).  RST = -E lies in every nontrivial normal
-    # subgroup of 2T, 2O and 2I, so with RST != E the quotient is <l,m,n>
-    # itself.
-    t = G.mult
-    R, S, T, rst = (gens[k] for k in ("R", "S", "T", "RST"))
-    _require([t[t[R][S]][T], *map(G.power, (R, S, T), pres)] == [rst] * 4
-             and rst != 0 and t[rst][rst] == 0,
-             "generators", "a triple with R^l = S^m = T^n = RST = R*S*T, "
-             "RST not element 0 and RST^2 element 0")
-    _require(len(G.tree) == len(G), "mult_table", "a table generated by R, S and T")
-    # Light's test in row form: row(x s) is row(x) read at row(s)
-    read_at = [(s, operator.itemgetter(*t[s])) for s in (R, S, T)]
-    _require(all(t[row[s]] == get(row) for s, get in read_at for row in t),
-             "mult_table", "associative (Light's test on R, S and T)")
-    # With q(E) = 1 and generation, q(s) q(x) = q(s x) for s = R, S, T
-    # makes x -> q(x) a homomorphism, by induction on the length of a
-    # word, and the quaternions are distinct: they are the group the table
-    # says, so the traces are constant on classes and conjugates invert.
-    try:
-        hom = all(lattice_mul(lattice[s], a, d) == lattice[t[s][x]]
-                  for s in (R, S, T) for x, a in enumerate(lattice))
-    except ArithmeticError:
-        hom = False
-    _require(hom, "elements", "a list of quaternions that multiply as the table "
-             "says, q(s) q(x) = q(s x) for s = R, S, T and every x")
-    return G
+        return _build(name, pres[2], *(tuple(gens[k]) for k in ("R", "S", "T")))
+    except (GroupConstructionError, ArithmeticError) as exc:
+        raise ValueError(f"field 'generators' is not a triple that builds "
+                         f"<2,3,{pres[2]}>: {exc}") from None
 
 
 def save_group(G: FiniteGroup, path: str) -> None:

@@ -179,10 +179,9 @@ def render_all_columns(G: FiniteGroup) -> str:
 
 def column_sum(G: FiniteGroup, gen: str) -> ClassFunction:
     """The sum of Ind omega^r over the complete column r = 0..q-1."""
-    H = G.cyclic_subgroup(gen)
     total = ClassFunction(G, (ZERO,) * G.num_classes)
-    for r in range(H.order):
-        total = total + induce_character(H, cyclic_character(H, r))
+    for r in range(G.cyclic_subgroup(gen).order):
+        total = total + _twist_character(G, gen, r)
     return total
 
 

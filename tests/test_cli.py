@@ -181,79 +181,101 @@ def test_malformed_cache_documents_are_usage_errors_naming_the_file(capsys, tmp_
     assert run(capsys, "--cache", str(tmp_path), "group", "2T", "order")[0] == 0
     path = tmp_path / "2T.json"
     good = json.loads(path.read_text())
-    one_coordinate = [good["elements"][0]] + [e[:1] for e in good["elements"][1:]]
-    for doc in ({"schema": "spaceforms/1", "kind": "group", "name": "2T"},
-                {**good, "elements": [], "mult_table": []},
-                {**good, "elements": one_coordinate},
-                {**good, "elements": "x"}):
+    half = {k: v[:4] for k, v in good["generators"].items()}
+    for doc in ({"schema": "spaceforms/1", "kind": "group", "name": "2T",
+                 "presentation": [2, 3, 3]},
+                {**good, "generators": {}},
+                {**good, "generators": half},
+                {**good, "generators": "x"}):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2T", "order")
         assert code == 2 and out == ""
-        assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+        assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
 
 
-def test_cache_with_a_triple_of_the_other_inner_class_is_refused(capsys, tmp_path):
-    # R, S, T = 117, 2, 102 satisfy R^2 = S^3 = T^5 = RST = -E in 2I, but T
-    # is the rotation by 3pi/5, not pi/5, so the twists of <T> would be
-    # measured against another generator than the classical tables assume
-    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
-    path = tmp_path / "2I.json"
-    doc = json.loads(path.read_text())
-    doc["generators"].update(R=117, S=2, T=102)
+def _store_triple(tmp_path, G, r, s, t):
+    """Fill a cache with G, then store the lattice quaternions of the
+    elements r, s and t of G as its R, S and T."""
+    path = tmp_path / f"{G.name}.json"
+    doc = groups.group_to_json(G)
+    d = groups.radicand(G.presentation[2])
+    doc["generators"] = {k: list(groups.lattice_quat(G.elements[x], d))
+                         for k, x in zip("RST", (r, s, t))}
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cache_with_a_triple_of_the_other_inner_class_is_refused(capsys, tmp_path,
+                                                                 g2i):
+    # the elements R, S, T = 117, 2, 102 satisfy R^2 = S^3 = T^5 = RST = -E
+    # in 2I, but T is the rotation by 3pi/5, not pi/5, so the twists of <T>
+    # would be measured against another generator than the classical
+    # tables assume
+    path = _store_triple(tmp_path, g2i, 117, 2, 102)
     code, out, err = run(capsys, "--cache", str(tmp_path), "spectrum", "2I",
                          "--irrep", "2s", "--nmax", "3")
     assert code == 2 and out == ""
     assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
+    assert "T is not the rotation by pi/5" in err
 
 
-def test_cache_whose_generators_break_the_relations_is_refused(capsys, tmp_path):
-    # element 5 has order 5, so R^2 = RST fails; read off this file the lens
-    # spectrum of <R> was d_1 = 0, d_2 = 3 with exit 0, against d_1 = 2,
-    # d_2 = 0 for the built group
-    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
-    path = tmp_path / "2I.json"
-    doc = json.loads(path.read_text())
-    doc["generators"]["R"] = 5
-    path.write_text(json.dumps(doc))
+def test_cache_whose_generators_break_the_relations_is_refused(capsys, tmp_path,
+                                                               g2i):
+    # element 5 has order 5, so R^2 = RST fails; read off a file that named
+    # it as R the lens spectrum of <R> was d_1 = 0, d_2 = 3 with exit 0,
+    # against d_1 = 2, d_2 = 0 for the built group
+    S, T = g2i.generators["S"], g2i.generators["T"]
+    path = _store_triple(tmp_path, g2i, 5, S, T)
     code, out, err = run(capsys, "--cache", str(tmp_path), "spectrum", "2I",
                          "--gen", "R", "--r", "1", "--nmax", "8")
     assert code == 2 and out == ""
     assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
+    assert "relation R^2 = RST fails" in err
 
 
-def test_cache_whose_quaternions_break_the_classes_is_refused(capsys, tmp_path):
-    # elements 5 and 10 (classes T^4 and T^2) and their inverses 13 and 30
-    # trade quaternions: every other check passes, and the character table
-    # derivation ended in a traceback
-    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
+def test_cache_whose_triple_is_galois_conjugated_is_refused(capsys, tmp_path, g2i):
+    # sqrt 5 -> -sqrt 5 on all three generators keeps every relation, but
+    # tr T becomes 2cos(3pi/5); on T alone it breaks the relations
+    good = groups.group_to_json(g2i)
+    conj = {k: [-v if i % 2 else v for i, v in enumerate(q)]
+            for k, q in good["generators"].items()}
     path = tmp_path / "2I.json"
-    doc = json.loads(path.read_text())
-    elements = doc["elements"]
-    for a, b in ((5, 10), (13, 30)):
-        elements[a], elements[b] = elements[b], elements[a]
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "chartab")
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+    for gens, check in ((conj, "T is not the rotation by pi/5"),
+                        ({**good["generators"], "T": conj["T"]}, "relation")):
+        path.write_text(json.dumps({**good, "generators": gens}))
+        code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
+        assert check in err
+
+
+def _table_document(G, swap_classes=False):
+    """G in the cache format that stored every quaternion and the table,
+    optionally with each x of [T^2] trading quaternions with x^2 of [T^4]."""
+    elements = [[{"num": list(c.num), "den": c.den} for c in (e.w, e.x, e.y, e.z)]
+                for e in G.elements]
+    if swap_classes:
+        for x in G.classes[G.class_by_label["T^2"]]:
+            x2 = G.mult[x][x]
+            elements[x], elements[x2] = elements[x2], elements[x]
+    return {"schema": "spaceforms/1", "kind": "group", "name": G.name,
+            "presentation": list(G.presentation), "elements": elements,
+            "mult_table": [list(row) for row in G.mult],
+            "generators": dict(G.generators)}
 
 
 def test_cache_whose_quaternions_are_galois_swapped_is_refused(capsys, tmp_path, g2i):
-    # every x of [T^2] trades quaternions with x^2 of [T^4]: on these
-    # classes that is sqrt 5 -> -sqrt 5, so the traces stay constant on
-    # each class and every conjugate stays the table's inverse, but the
-    # stored quaternions no longer multiply as the table says
-    assert run(capsys, "--cache", str(tmp_path), "group", "2I", "order")[0] == 0
+    # a file that stored every quaternion and the table could trade [T^2]
+    # with [T^4] along x <-> x^2, which on these classes is sqrt 5 ->
+    # -sqrt 5: group 2I order then exited 0.  A document now stores only
+    # R, S and T, so a file in that format, genuine or swapped, is refused
+    # naming the field that changed
     path = tmp_path / "2I.json"
-    doc = json.loads(path.read_text())
-    elements = doc["elements"]
-    for x in g2i.classes[g2i.class_by_label["T^2"]]:
-        x2 = g2i.mult[x][x]
-        elements[x], elements[x2] = elements[x2], elements[x]
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cache file {str(path)!r}: field 'elements' ")
+    for swap in (False, True):
+        path.write_text(json.dumps(_table_document(g2i, swap)))
+        code, out, err = run(capsys, "--cache", str(tmp_path), "group", "2I", "order")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cache file {str(path)!r}: field 'generators' ")
 
 
 def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path,

@@ -240,15 +240,12 @@ def test_a_product_that_leaves_the_lattice_raises():
         groups.lattice_quat(generator_triple(5)[2], 1)
 
 
-def test_cached_coordinates_off_the_lattice_are_refused(g2t, g2i):
-    # 1/8 on 2I, and 2I's T, whose w is (1 + sqrt 5)/4, on 2T
-    eighth = {"num": [1] + [0] * 31, "den": 8}
-    doc = group_to_json(g2i)
-    doc["elements"][5] = [eighth] + doc["elements"][5][1:]
-    docs = [doc, group_to_json(g2t)]
-    docs[1]["elements"][5] = group_to_json(g2i)["elements"][g2i.generators["T"]]
-    for doc in docs:
-        with pytest.raises(ValueError, match=r"^field 'elements' .* \(p \+ q sqrt"):
+def test_cached_triple_whose_product_leaves_the_lattice_is_refused(all_groups):
+    # R = 1/4: R*S is off the lattice, and the loader names the field
+    for G in all_groups:
+        doc = group_to_json(G)
+        doc["generators"]["R"] = [1] + [0] * 7
+        with pytest.raises(ValueError, match="^field 'generators' .* leaves the lattice"):
             group_from_json(doc)
 
 
@@ -281,9 +278,9 @@ def test_serialization_roundtrip(g2t, tmp_path):
 # hash stdout only, so a build that reordered the elements or wrote a
 # coordinate another way would pass them
 CACHE_DOCUMENTS = {
-    "2T": ("dc3a48b1ae20eeb42a97d66db457bcf2d38658f81b0728bf36019a54e5da769f", 13592),
-    "2O": ("002a5883468594e60c05e97292a242947e77267a94f82517e9110398ae63e7d7", 31664),
-    "2I": ("fad9dae0b6e053fd9495185952be1a92d9ea7b9f0a7be79403131862c1f837c1", 116024),
+    "2T": ("bfa88c11fea62bcf119290825055bf19fe801fb8ed711c5797e7b1b1004cbd6a", 194),
+    "2O": ("335f7cec272f05d5906eea08b083e682b7e591d72e6269da4a483b8d550d388e", 193),
+    "2I": ("c4f9a395190eb4c9c09ff1fd2560729b4227c5fbead1278afaf53951b7fc1789", 195),
 }
 
 
@@ -294,16 +291,19 @@ def test_cache_documents_are_pinned(all_groups):
             CACHE_DOCUMENTS[G.name]
 
 
-def test_cache_documents_hold_no_class_data(g2t):
-    # the loader recomputes the classes from the table, so a document no
-    # longer stores them, and one written when it did loads the same group
-    doc = group_to_json(g2t)
-    assert "classes" not in doc and "class_labels" not in doc
-    old = {**doc, "classes": [list(c) for c in g2t.classes],
-           "class_labels": list(g2t.class_labels)}
+def test_cache_documents_hold_no_class_data(all_groups):
+    # the loader builds the group from R, S and T, so a document stores
+    # nothing else, and a field it does not read changes nothing
     facts = lambda G: (G.name, G.elements, G.mult, G.generators, G.presentation,
                        G.classes, G.class_labels)
-    assert facts(group_from_json(doc)) == facts(group_from_json(old)) == facts(g2t)
+    for G in all_groups:
+        doc = group_to_json(G)
+        assert sorted(doc) == ["generators", "kind", "name", "presentation", "schema"]
+        assert sorted(doc["generators"]) == ["R", "S", "T"]
+        extra = {**doc, "class_labels": list(G.class_labels)}
+        loaded = group_from_json(doc)
+        assert facts(loaded) == facts(group_from_json(extra)) == facts(G)
+        assert loaded is not G and groups._BUILD_CACHE[G.presentation[2], 0] is G
 
 
 def test_alternate_triple_gives_same_structure():
@@ -334,117 +334,69 @@ def test_adopt_presentation_triple_resets_class_indexed_caches(g2o):
     assert spin_character(K, 3) is chi3 and K.presentation is None
 
 
-def test_cached_table_with_swapped_entries_is_rejected(g2t, tmp_path):
-    # two entries of row 1 swapped: every row is still a permutation,
-    # but two columns are not
-    doc = group_to_json(g2t)
-    row = doc["mult_table"][1]
-    row[2], row[3] = row[3], row[2]
-    path = tmp_path / "2T.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="column"):
-        groups.load_group(str(path))
-
-
 def test_group_document_shape_errors_name_the_field(g2t):
     good = group_to_json(g2t)
-    coordinate = dict(good["elements"][1][0], den=-1)
-    for field, value in (("elements", [[coordinate] * 4] + good["elements"][1:]),
-                         ("mult_table", [1] * len(g2t)),
-                         ("mult_table", [["0"]]),
-                         ("mult_table", good["mult_table"][:5] + [[]]
-                          + good["mult_table"][6:]),
-                         ("generators", {"R": 1, "S": 2, "T": 3}),
-                         ("generators", {"R": len(g2t)}),
+    R = good["generators"]["R"]
+    for field, value in (("name", 5),
+                         ("presentation", 3),
+                         ("presentation", [2, 3, 6]),
+                         ("presentation", [2, 2, 3]),
+                         ("presentation", [2, 3, 3.0]),
                          ("generators", [0]),
-                         ("presentation", 3)):
+                         ("generators", {"R": R, "S": R}),
+                         ("generators", {**good["generators"], "RST": R}),
+                         ("generators", {**good["generators"], "R": R[:7]}),
+                         ("generators", {**good["generators"], "R": R[:7] + ["0"]}),
+                         ("generators", {**good["generators"], "R": R[:7] + [1.0]}),
+                         ("generators", {**good["generators"], "R": R[:7] + [True]}),
+                         ("generators", {"R": 1, "S": 2, "T": 3})):
         with pytest.raises(ValueError, match=f"^field '{field}' is not "):
             group_from_json({**good, field: value})
-    for field in ("name", "generators"):
+    for field in ("name", "presentation", "generators"):
         doc = dict(good)
         del doc[field]
         with pytest.raises(ValueError, match=f"^field '{field}' is not present"):
             group_from_json(doc)
-    # each passes every check above and fails one check of the table
-    # against its presentation or of the quaternions against the table
-    for field, doc in _documents_failing_one_table_check(g2t):
-        with pytest.raises(ValueError, match=f"^field '{field}' is not "):
+    # each is well formed and fails one check of the build
+    for check, doc in _documents_failing_one_build_check(g2t):
+        with pytest.raises(ValueError, match=f"^field 'generators' is not .*{check}"):
             group_from_json(doc)
 
 
-def _swapped(doc, G, x, y):
-    """doc with the quaternions of x and y, and of their inverses, swapped:
-    the conjugates stay the table's inverses, but the traces move."""
-    elements = list(doc["elements"])
-    for a, b in ((x, y), (G.inv[x], G.inv[y])):
-        elements[a], elements[b] = elements[b], elements[a]
-    return {**doc, "elements": elements}
-
-
-def _documents_failing_one_table_check(G):
+def _documents_failing_one_build_check(G):
     good = group_to_json(G)
+    lattice = lambda x: list(groups.lattice_quat(G.elements[x], 1))
     t, inv, neg = G.mult, G.inv, G.neg_identity_index
-    R, S, T = (G.generators[k] for k in "RST")
-    order = {k: [x for x in range(len(G)) if G.orders[x] == k] for k in (3, 4, 6)}
-    # R*S*T is not the stored RST: another R of order 4
-    r = next(x for x in order[4] if t[t[x][S]][T] != neg)
-    yield "generators", {**good, "generators": {**good["generators"], "R": r}}
-    # S^m is not RST
-    yield "generators", {**good, "presentation": [2, 2, 3]}
-    # RST is E: T's quaternion on an element y of order 3
-    y = order[3][0]
-    yield "generators", {**_swapped(good, G, T, y),
-                         "generators": {"R": 0, "S": inv[y], "T": y, "RST": 0}}
-    # RST^2 is not E: T's quaternion on an element z of order 4, T^3 = z^-1
-    z = order[4][0]
-    yield "generators", {**_swapped(good, G, T, z), "presentation": [1, 1, 3],
-                         "generators": {"R": inv[z], "S": inv[z], "T": z,
-                                        "RST": inv[z]}}
-    # not generated: i, j, k of the quaternion group satisfy <2,2,2>
-    i = order[4][0]
-    j = next(x for x in order[4] if x not in (i, inv[i]))
-    yield "mult_table", {**good, "presentation": [2, 2, 2], "generators": {
-        "R": i, "S": j, "T": t[neg][inv[t[i][j]]], "RST": neg}}
-    # not associative: a*b and a*(-b) trade places in rows a and -a, away
-    # from E and the generators, so the rest still holds
-    a, b = next((a, b) for a in range(len(G)) for b in range(len(G))
-                if {a, t[neg][a], b, t[neg][b]}.isdisjoint({0, R, S, T})
-                and 0 not in (t[a][b], t[neg][t[a][b]]))
-    table = [list(row) for row in t]
-    for x in (a, t[neg][a]):
-        table[x][b], table[x][t[neg][b]] = table[x][t[neg][b]], table[x][b]
-    yield "mult_table", {**good, "mult_table": table}
-    # two classes trade traces
-    x = next(x for x in order[6] if not {x, inv[x]} & {S, T})
-    yield "elements", _swapped(good, G, order[3][0], x)
+    S, T = G.generators["S"], G.generators["T"]
+    # R*S*T is not R^2: another R of order 4
+    r = next(x for x in range(len(G)) if G.orders[x] == 4 and t[t[x][S]][T] != neg)
+    yield r"R\^2 = RST fails", {**good, "generators": {**good["generators"],
+                                                         "R": lattice(r)}}
+    # T^4 is not RST: 2T's triple under 2O's presentation
+    yield r"T\^n = RST fails", {**good, "presentation": [2, 3, 4]}
+    # RST is E: T of order 3, S = T^-1 and R = E satisfy every relation
+    y = next(x for x in range(len(G)) if G.orders[x] == 3)
+    yield "RST = -E fails", {**good, "generators": {
+        "R": lattice(0), "S": lattice(inv[y]), "T": lattice(y)}}
 
 
-def test_cached_table_validation_checks_identity_and_inverses(g2t):
-    # relabelling two elements away from E and the generators keeps the
-    # table a group table with the same relations, but it no longer
-    # matches the quaternions: the stored inverses (conjugates) and the
-    # stored products disagree with it
-    named = {0, *g2t.generators.values()}
-    a = next(i for i in range(len(g2t)) if i not in named)
-    c = next(i for i in range(len(g2t)) if i not in named | {a, g2t.inv[a]})
-    perm = list(range(len(g2t)))
-    perm[a], perm[c] = c, a
-    n = len(g2t)
-    doc = group_to_json(g2t)
-    doc["mult_table"] = [[perm[g2t.mult[perm[x]][perm[y]]] for y in range(n)]
-                         for x in range(n)]
-    with pytest.raises(ValueError, match="^field 'elements' .* multiply as the table"):
-        group_from_json(doc)
-    doc = group_to_json(g2t)
-    doc["mult_table"][0] = list(reversed(doc["mult_table"][0]))
-    with pytest.raises(ValueError, match="identity"):
-        group_from_json(doc)
-    # -1 stored first: every stored conjugate is still the table's inverse
-    doc = group_to_json(g2t)
-    m = g2t.neg_identity_index
-    doc["elements"][0], doc["elements"][m] = doc["elements"][m], doc["elements"][0]
-    with pytest.raises(ValueError, match="^field 'mult_table' .* quaternion 1"):
-        group_from_json(doc)
+def test_every_unit_change_of_a_stored_integer_is_refused(all_groups):
+    # 24 integers per document, each moved by +1 and by -1: 144 documents,
+    # each refused by a check of the build (or an off-lattice product) and
+    # reported as a usage error naming the field
+    refused = 0
+    for G in all_groups:
+        good = group_to_json(G)
+        for k in ("R", "S", "T"):
+            for i in range(8):
+                for delta in (1, -1):
+                    v = list(good["generators"][k])
+                    v[i] += delta
+                    doc = {**good, "generators": {**good["generators"], k: v}}
+                    with pytest.raises(ValueError, match="^field 'generators' is not "):
+                        group_from_json(doc)
+                    refused += 1
+    assert refused == 144
 
 
 def test_save_group_keeps_the_old_file_when_the_dump_fails(g2t, g2o,

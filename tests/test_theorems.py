@@ -246,12 +246,12 @@ def test_a_column_that_misses_the_regular_character_names_the_class(
     G = groups.group_from_json(groups.group_to_json(g2t))
     for gen in REFERENCE_INDUCTIONS["2T"]:
         induction_table(G, gen)
-    induce = induction.induce_character
+    induce = induction._twist_character
 
-    def off_at_minus_e(H, chi):
-        f = induce(H, chi)
+    def off_at_minus_e(G, gen, r):
+        f = induce(G, gen, r)
         return ClassFunction(G, (f.values[0], f.values[1] + 1) + f.values[2:])
-    monkeypatch.setattr(induction, "induce_character", off_at_minus_e)
+    monkeypatch.setattr(induction, "_twist_character", off_at_minus_e)
     results = [c for c in theorems._tables([G], 20) if ":column_regular:" in c.key]
     assert len(results) == len(REFERENCE_INDUCTIONS["2T"])
     for c in results:
