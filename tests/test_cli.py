@@ -194,8 +194,8 @@ def test_malformed_cache_documents_are_usage_errors_naming_the_file(capsys, tmp_
 
 
 def _store_triple(tmp_path, G, r, s, t):
-    """Fill a cache with G, then store the lattice quaternions of the
-    elements r, s and t of G as its R, S and T."""
+    """Write G's cache document with the lattice quaternions of its
+    elements r, s and t as R, S and T."""
     path = tmp_path / f"{G.name}.json"
     doc = groups.group_to_json(G)
     d = groups.radicand(G.presentation[2])
