@@ -313,6 +313,32 @@ def test_a_broken_homomorphism_inside_verify_induced_matrices_is_internal(
                           "inducing map is not a homomorphism")
 
 
+def test_an_induced_trace_mismatch_fails_naming_the_class(capsys, monkeypatch):
+    # an Ind omega^r that is off by one at [-E] is a false fact, not a
+    # fault: every induced_matrices verdict FAILs naming the class and both
+    # traces, and the run exits 1
+    from spaceforms import induction
+    from spaceforms.characters import ClassFunction
+    real = induction._twist_character
+
+    def off_at_minus_e(G, gen, r):
+        f = real(G, gen, r)
+        return ClassFunction(G, (f.values[0], f.values[1] + 1) + f.values[2:])
+
+    monkeypatch.setattr(induction, "_twist_character", off_at_minus_e)
+    code, out, err = run(capsys, "verify", "induced-matrices")
+    assert code == 1 and err == ""
+    verdicts = [line for line in out.splitlines() if ":induced_matrices:" in line]
+    assert len(verdicts) == 60
+    for line in verdicts:
+        status, key, detail = line.split(maxsplit=2)
+        name, _, twist = key.split(":")
+        r, gen = twist.split(";")
+        got = real(groups.binary_polyhedral(name), gen, int(r)).values[1]
+        assert status == "FAIL"
+        assert detail == f"[[-E]: trace {got} != Ind w^r {got + 1}]"
+
+
 def test_table_derivation_error_is_internal(capsys, monkeypatch):
     # a checked group whose table cannot be derived is a fault of the
     # library, not a failed verification: exit 3, no traceback

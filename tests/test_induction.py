@@ -252,6 +252,35 @@ def test_monomial_verification_checks_more_than_one_generator(g2i, monkeypatch):
         monkeypatch.undo()
 
 
+def test_a_failed_product_names_the_first_pair(g2i, monkeypatch):
+    # a corrupted block on an element no class representative reads keeps
+    # the trace, so the verdict fails on the products, naming the first x
+    # in index order and a generator s with D(x) D(s) != D(xs)
+    H = g2i.cyclic_subgroup("S")
+    g = next(g for g in range(len(g2i)) if g not in g2i.class_reps)
+    rep = induced_matrices(g2i, "S", 1)
+    perm, hs = rep.data[g]
+    rep.data = (rep.data[:g] + ((perm, (g2i.mult[hs[0]][H.generator_index],) + hs[1:]),)
+                + rep.data[g + 1:])
+    monkeypatch.setattr(induction, "induced_matrices", lambda G, gen, r: rep)
+    verdict = induction.verify_monomial_rep(g2i, "S", 1)
+    assert not verdict
+    prefix = "D(x) D(s) != D(xs) at x = "
+    assert verdict.witness.startswith(prefix)
+    x, s = verdict.witness[len(prefix):].split(", s = ")
+    x = int(x)
+    assert not rep.is_homomorphic_at(x, g2i.generators[s])
+    assert all(rep.is_homomorphic_at(y, g2i.generators[t])
+               for y in range(x) for t in ("R", "S", "T"))
+    monkeypatch.undo()
+    assert verify_passes(g2i, "S", 1)
+
+
+def verify_passes(G, gen, r):
+    verdict = induction.verify_monomial_rep(G, gen, r)
+    return bool(verdict) and verdict.witness == ""
+
+
 def test_regular_rep_splits_over_the_center(all_groups):
     # Ind from {E} = Ind from {E,-E} of the two central characters
     for G in all_groups:
