@@ -391,6 +391,7 @@ class FiniteGroup:
         g._spin_chars = {}          # 2j -> spin character (characters)
         g._power_classes = None     # per Galois generator s, class of rep^s (characters)
         g._oracle_irreps = {}       # irrep name -> numeric matrices (spectra)
+        g._oracle_su2 = None        # numeric SU(2) matrix per element (spectra)
         g._oracle_spin = {}         # 2j -> numeric D^(j)(g) per element
         g._cyclic_subgroups = {}
         g._mckay_adjacency = None       # McKay graph, table order (characters)

@@ -10,7 +10,9 @@ transport maps.
 What does not depend on the induced character is paid once: the
 formula sums the character over H once, class by class, and the
 explicit matrices of every twist from one subgroup share one coset
-action, whose product check runs once on it.
+action, whose product check runs once on it.  A twist omega^r is a
+homomorphism on the cyclic H when H is in power order, which one walk
+over the powers of its generator checks.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ class MonomialRep:
         chi = cyclic_character(H, r)
         blocks = {p: ((chi.value_on_class(pos),),)
                   for pos, p in enumerate(H.group.to_parent)}
-        return MonomialRep(G, H, blocks, 1)
+        return _CyclicTwistRep(G, H, blocks, 1)
 
     def compose(self, g1: int, g2: int):
         """The (perm, h) data of D(g1) D(g2) by the block product rule."""
@@ -324,6 +326,30 @@ class MonomialRep:
         return ClassFunction(self.group, vals)
 
 
+class _CyclicTwistRep(MonomialRep):
+    """Ind omega^r from a cyclic H, whose block on element j of H.group is
+    the value zeta_q^(rj) of omega^r on class j."""
+
+    def _verify_inducing_homomorphism(self):
+        """omega^r is a homomorphism exactly when element j of H.group is
+        g^j and lies in class j, with g^q = E: then B(g^a) B(g^b) =
+        zeta_q^(r(a+b)) = B(g^(a+b mod q)) and B(E) = 1.  One walk over
+        the powers of g replaces the |H|^2 products."""
+        if not _in_power_order(self.subgroup.group):
+            raise ValueError("inducing map is not a homomorphism on H")
+
+
+def _in_power_order(sub: FiniteGroup) -> bool:
+    """Whether element j of the cyclic group `sub` is g^j and lies in
+    class j for every j, and g^q = E (Z1 holds only E)."""
+    g, cur = sub.generators.get("g", 0), 0
+    for j in range(len(sub)):
+        if cur != j or sub.class_of[cur] != j:
+            return False
+        cur = sub.mult[cur][g]
+    return cur == 0
+
+
 def _identity_matrix(d: int):
     return tuple(tuple(ONE if a == b else ZERO for b in range(d))
                  for a in range(d))
@@ -335,7 +361,17 @@ def _mat_mul(A, B):
                  for row in A)
 
 
-def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> bool:
+@dataclass(frozen=True)
+class MonomialVerdict:
+    """What `verify_monomial_rep` found: true on a pass; on a failure,
+    `witness` names the first class or product that is wrong."""
+    witness: str = ""
+
+    def __bool__(self):
+        return not self.witness
+
+
+def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> MonomialVerdict:
     """Homomorphism property of the induced matrices on all |G|^2
     products, and exactness of the trace against the induced character
     on every class.
@@ -348,17 +384,27 @@ def verify_monomial_rep(G: FiniteGroup, gen: str, r: int) -> bool:
     on the shared action for the data object it read, so it runs once
     per (G, gen), and a rep carrying other data is checked on its own."""
     rep = induced_matrices(G, gen, r)
-    if rep.character() != _twist_character(G, gen, r % rep.subgroup.order):
-        return False
+    trace = rep.character()
+    want = _twist_character(G, gen, r % rep.subgroup.order)
+    if trace != want:
+        return MonomialVerdict(next(
+            f"[{label}]: trace {a} != Ind w^r {b}"
+            for label, a, b in zip(G.class_labels, trace.values, want.values)
+            if a != b))
     if rep.data is not rep.action.checked:
         e, n = G.identity_index, rep.action.cosets.count
-        gens = {G.generators[g] for g, _ in filter(None, G.tree.values())}
-        if not (rep.data[e] == (tuple(range(n)), (e,) * n) and len(G.tree) == len(G)
-                and all(rep.is_homomorphic_at(x, s) for x in range(len(G))
-                        for s in gens)):
-            return False
+        if rep.data[e] != (tuple(range(n)), (e,) * n):
+            return MonomialVerdict("D(E) is not the identity")
+        if len(G.tree) != len(G):
+            return MonomialVerdict(f"the generators reach {len(G.tree)} of "
+                                   f"{len(G)} elements")
+        names = sorted({name for name, _ in filter(None, G.tree.values())})
+        bad = next(((x, s) for x in range(len(G)) for s in names
+                    if not rep.is_homomorphic_at(x, G.generators[s])), None)
+        if bad is not None:
+            return MonomialVerdict("D(x) D(s) != D(xs) at x = {}, s = {}".format(*bad))
         rep.action.checked = rep.data
-    return True
+    return MonomialVerdict()
 
 
 def induced_matrices(G: FiniteGroup, gen_or_handle, B) -> MonomialRep:

@@ -39,9 +39,11 @@ inner product as the oracle.
 An independent numeric oracle is provided for small levels: explicit
 spin-j matrices are built from the quaternions, the group average of
 rho-bar tensor D^(j) is formed, and its trace (the invariant count) is
-compared against the exact formula.  The oracle is the only user of
-numpy in the library, so its functions import numpy when called and
-importing this module (or the CLI) does not load it.
+compared against the exact formula.  The SU(2) matrices of a group's
+elements are stacked once per group and the spin-j matrices once per
+level, both kept on the group.  The oracle is the only user of numpy in
+the library, so its functions import numpy when called and importing
+this module (or the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -104,13 +106,16 @@ class TwistSpec:
         return TwistSpec(target, combo=((name, 1),))
 
     def character(self) -> ClassFunction:
+        """The twist's character; a coefficient of 1 reads the table row
+        itself, unscaled."""
         G = self.group
         if self.cyclic_twist is not None:
             return cyclic_character(G, self.cyclic_twist)
         table = character_table(G)
         acc = None
         for name, coeff in self.combo:
-            term = table[name].char * coeff
+            row = table[name].char
+            term = row if coeff == 1 else row * coeff
             acc = term if acc is None else acc + term
         if acc is None:
             raise TwistError("empty twist")
@@ -418,12 +423,13 @@ def _frozen(mats) -> np.ndarray:
 
 def _spin_matrices(G: FiniteGroup, two_j: int) -> np.ndarray:
     """D^(j)(g) for every element of G, stacked along the first axis and
-    built once per (group, level)."""
+    built once per (group, level) from the SU(2) stack, built once per
+    group."""
     cache = G._oracle_spin
     if two_j not in cache:
-        import numpy as np
-        u = np.stack([su2_matrix(e) for e in G.elements])
-        cache[two_j] = _frozen(spin_matrix(u, two_j))
+        if G._oracle_su2 is None:
+            G._oracle_su2 = _frozen([su2_matrix(e) for e in G.elements])
+        cache[two_j] = _frozen(spin_matrix(G._oracle_su2, two_j))
     return cache[two_j]
 
 

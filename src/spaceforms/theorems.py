@@ -445,10 +445,10 @@ def _conjugations(gs, n_max):
 
 
 def _induced_matrices(gs, n_max):
-    return [CheckResult(f"{G.name}:induced_matrices:{r};{gen}",
-                        verify_monomial_rep(G, gen, r))
+    return [CheckResult(f"{G.name}:induced_matrices:{r};{gen}", bool(v), v.witness)
             for G in gs for gen in GENERATORS
-            for r in range(G.cyclic_subgroup(gen).order)]
+            for r in range(G.cyclic_subgroup(gen).order)
+            for v in [verify_monomial_rep(G, gen, r)]]
 
 
 def _mckay(gs, n_max):

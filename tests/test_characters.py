@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -6,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from spaceforms import groups
-from spaceforms.characters import (GALOIS_GENERATORS, ClassFunction,
-                                   TableDerivationError, _dixon_characters,
+from spaceforms.characters import (GALOIS_GENERATORS, CharacterTable,
+                                   ClassFunction, TableDerivationError,
+                                   _dixon_characters,
                                    _rref, _split, character_table,
                                    cyclic_character, inner_product,
                                    inner_product_int, nonnegative_int,
@@ -50,19 +52,48 @@ def test_row_orthonormality_recomputed(all_groups):
                 assert inner_product(a.char, b.char) == want
 
 
-def test_column_orthogonality_recomputed(g2i):
-    table = character_table(g2i)
-    k = g2i.num_classes
-    for ci in range(k):
-        for cj in range(k):
-            acc = ZERO
-            for ir in table:
-                acc = acc + ir.char.value_on_class(ci).conjugate() \
-                    * ir.char.value_on_class(cj)
-            if ci == cj:
-                assert acc * g2i.class_sizes[ci] == len(g2i) * ONE
-            else:
-                assert acc == ZERO
+def _column_sums(table):
+    """sum over the irreps of conj(chi(c_i)) chi(c_j), for every pair."""
+    k = table.group.num_classes
+    return [[sum((ir.char.value_on_class(ci).conjugate() * ir.char.value_on_class(cj)
+                  for ir in table), ZERO) for cj in range(k)] for ci in range(k)]
+
+
+def test_column_orthogonality_recomputed(all_groups):
+    # the table check verifies the rows only; the columns follow for a
+    # square table, and are recomputed here on the three tables and on the
+    # tables of their cyclic subgroups <R>, <S>, <T> and <RST>
+    groups_ = [G for P in all_groups
+               for G in [P] + [P.cyclic_subgroup(gen).group
+                               for gen in ("R", "S", "T", "RST")]]
+    assert len(groups_) == 15
+    for G in groups_:
+        for ci, row in enumerate(_column_sums(character_table(G))):
+            for cj, acc in enumerate(row):
+                if ci == cj:
+                    assert acc * G.class_sizes[ci] == len(G) * ONE, (G.name, ci)
+                else:
+                    assert acc == ZERO, (G.name, ci, cj)
+
+
+def test_one_corrupted_table_value_fails_the_row_check(all_groups, g2t):
+    # rows orthonormal and the table square is all the check needs: a
+    # single wrong value off E and -E breaks the rows (its column cannot be
+    # orthogonal to the others), so it is refused there
+    def corrupted(G, a, c):
+        table = character_table(G)
+        irreps = list(table)
+        f = irreps[a].char
+        values = f.values[:c] + (f.values[c] + 1,) + f.values[c + 1:]
+        irreps[a] = dataclasses.replace(irreps[a], char=ClassFunction(G, values))
+        return irreps
+
+    cases = [(g2t, a, c) for a in range(len(character_table(g2t)))
+             for c in range(2, g2t.num_classes)]
+    cases += [(G, len(character_table(G)) - 1, G.num_classes - 1) for G in all_groups]
+    for G, a, c in cases:
+        with pytest.raises(TableDerivationError, match="^row orthogonality fails"):
+            CharacterTable(G, corrupted(G, a, c))
 
 
 def test_inner_product_basics(g2t):

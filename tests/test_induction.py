@@ -205,6 +205,26 @@ def test_monomial_rep_rejects_non_homomorphism(g2t):
         MonomialRep(g2t, H, bad, 1)
 
 
+def test_a_twist_on_a_group_out_of_power_order_is_rejected(g2t):
+    # omega^r is read as zeta_q^(rj) on element j, a homomorphism exactly
+    # when element j is g^j: <T> of 2T with g^2 and g^5 swapped, or with
+    # no distinguished generator, is refused for every twist
+    H = g2t.cyclic_subgroup("T")
+    powers = H.group.to_parent
+    swapped = groups.SubgroupHandle(g2t, H.member_indices, generator_index=powers[1])
+    swapped._group = groups.FiniteGroup._from_parent(
+        g2t, [powers[j] for j in (0, 1, 5, 3, 4, 2)], "swapped", cyclic=True)
+    assert swapped.group.class_of[2] == 5
+    plain = g2t.subgroup(H.member_indices)
+    assert "g" not in plain.group.generators
+    for K in (swapped, plain):
+        for r in range(H.order):
+            with pytest.raises(ValueError,
+                               match="^inducing map is not a homomorphism on H$"):
+                MonomialRep.from_cyclic_twist(g2t, K, r)
+    assert all(induced_matrices(g2t, H, r).degree == 4 for r in range(H.order))
+
+
 def test_monomial_verification_rejects_one_corrupted_entry(g2i, monkeypatch):
     # D(E) = 1 and D(x) D(s) = D(xs) for every x and generator s imply
     # all |G|^2 products, so one wrong entry is caught anywhere, also on
@@ -273,12 +293,8 @@ def test_a_failed_product_names_the_first_pair(g2i, monkeypatch):
     assert all(rep.is_homomorphic_at(y, g2i.generators[t])
                for y in range(x) for t in ("R", "S", "T"))
     monkeypatch.undo()
-    assert verify_passes(g2i, "S", 1)
-
-
-def verify_passes(G, gen, r):
-    verdict = induction.verify_monomial_rep(G, gen, r)
-    return bool(verdict) and verdict.witness == ""
+    verdict = induction.verify_monomial_rep(g2i, "S", 1)
+    assert verdict and verdict.witness == ""
 
 
 def test_regular_rep_splits_over_the_center(all_groups):

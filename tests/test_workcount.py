@@ -41,8 +41,8 @@ PINS = {
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 618,
-        "exactnum.mul": 1356,
+        "exactnum.add": 213,
+        "exactnum.mul": 951,
         "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
     },
@@ -54,8 +54,8 @@ PINS = {
         "characters.restrict": 198,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 774,
-        "exactnum.mul": 1356,
+        "exactnum.add": 369,
+        "exactnum.mul": 951,
         "exactnum.trace": 4320,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
@@ -69,8 +69,8 @@ PINS = {
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 618,
-        "exactnum.mul": 1356,
+        "exactnum.add": 213,
+        "exactnum.mul": 951,
         "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
         "mckay.mckay_graph": 1,
@@ -81,8 +81,8 @@ PINS = {
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 620,
-        "exactnum.mul": 1369,
+        "exactnum.add": 215,
+        "exactnum.mul": 955,
         "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
         "spectra.degeneracy_series": 1,
@@ -96,8 +96,8 @@ PINS = {
         "characters.restrict": 484,
         "characters.spin_character": 15,
         "cli.resolve_group": 3,
-        "exactnum.add": 4396,
-        "exactnum.mul": 6400,
+        "exactnum.add": 2027,
+        "exactnum.mul": 2936,
         "exactnum.trace": 10905,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
@@ -105,6 +105,19 @@ PINS = {
         "spectra.degeneracy_series": 120,
         "spectra.levels": 7320,
         "theorems.verify_isospectrality": 3,
+    },
+    # a cyclic twist checks omega^r by one walk over H, not |H|^2 block
+    # products: a restored product loop moves exactnum.mul
+    "verify induced-matrices --nmax 60": {
+        "exit": 0,
+        "characters.cyclic_character": 120,
+        "cli.resolve_group": 3,
+        "exactnum.add": 2193,
+        "exactnum.mul": 48,
+        "groups.build_binary_polyhedral": 3,
+        "induction.induce_character": 60,
+        "induction.induced_matrices": 60,
+        "induction.verify_monomial_rep": 60,
     },
 }
 
