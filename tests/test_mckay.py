@@ -1,6 +1,8 @@
 import pytest
 
-from spaceforms import groups
+from spaceforms import groups, mckay
+from spaceforms.characters import character_table
+from spaceforms.cli import main
 from spaceforms.mckay import (class_correspondence, compactified_diagram,
                               export_dot, mckay_graph, relink_matches_mckay)
 
@@ -120,3 +122,61 @@ def test_dot_export_shapes(g2t):
 def test_dot_rejects_unknown():
     with pytest.raises(TypeError):
         export_dot(42)
+
+
+# -- every mckay verdict can fail, naming a witness -------------------------
+# Each test falsifies the fact one verdict reports.  `verify mckay` must then
+# FAIL that verdict with a detail and exit 1, not stop on a raise.
+
+
+def _mckay_verdicts(capsys, family):
+    code = main(["verify", "mckay"])
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if f":mckay:{family}" in line]
+    return code, {line.split()[1].split(":")[0]: line for line in lines}
+
+
+def test_a_false_mark_equation_fails_naming_the_node(monkeypatch, capsys):
+    # mark 2 on the trivial node: 2 * 2 != 2, the mark of its neighbour 2s
+    real = mckay.McKayGraph
+
+    def first_mark_off(name, nodes, marks, adjacency, ade):
+        return real(name, nodes, (marks[0] + 1,) + marks[1:], adjacency, ade)
+    monkeypatch.setattr(mckay, "McKayGraph", first_mark_off)
+    code, lines = _mckay_verdicts(capsys, "marks")
+    assert code == 1
+    for name in ("2T", "2O", "2I"):
+        assert lines[name] == (f"FAIL  {name}:mckay:marks  "
+                               "[node 1: 2 * mark 2 != 2, the sum over its neighbours]")
+
+
+def test_arc_sizes_off_the_presentation_fail_naming_both(monkeypatch, capsys, g2t):
+    # the table is named first, since naming reads the presentation too;
+    # T of order 6 leaves 2 internal nodes, where <2,3,7> wants 6
+    character_table(g2t)
+    monkeypatch.setattr(g2t, "presentation", (2, 3, 7))
+    code, lines = _mckay_verdicts(capsys, "arcs")
+    assert code == 1
+    assert lines["2T"] == "FAIL  2T:mckay:arcs  [arc sizes [1, 2, 2], expected [1, 2, 6]]"
+    assert lines["2O"].startswith("PASS") and lines["2I"].startswith("PASS")
+
+
+def test_a_failed_relink_names_the_wanted_arms(monkeypatch, capsys):
+    monkeypatch.setattr(mckay.CompactifiedDiagram, "relink_arm_lengths",
+                        lambda self, keep: [])
+    code, lines = _mckay_verdicts(capsys, "relink")
+    assert code == 1
+    for name, arms in ARMS.items():
+        assert lines[name] == (f"FAIL  {name}:mckay:relink  "
+                               f"[no arc relinks to the McKay arms {arms}]")
+
+
+def test_a_class_missed_by_the_twists_fails_naming_it(monkeypatch, capsys, g2o):
+    # S read as T: the twists of both circles land on the classes of T,
+    # and the classes of S receive none
+    monkeypatch.setitem(g2o.generators, "S", g2o.generators["T"])
+    code, lines = _mckay_verdicts(capsys, "two_to_one")
+    assert code == 1
+    assert lines["2O"].startswith("FAIL  2O:mckay:two_to_one  [")
+    assert "class S receives 0 twists" in lines["2O"]
+    assert lines["2T"].startswith("PASS") and lines["2I"].startswith("PASS")

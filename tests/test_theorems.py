@@ -258,3 +258,23 @@ def test_a_column_that_misses_the_regular_character_names_the_class(
         q = G.cyclic_subgroup(c.key.rsplit(":", 1)[1]).order
         assert not c.passed
         assert c.detail == f"[-E]: sum of Ind w^r {q} != regular 0"
+
+
+def test_torsion_anchors_gate_on_the_exact_identity(monkeypatch):
+    # T(4,1)^2 = T(6,1)^2 T(6,3) is checked on the exact values; the log
+    # residual is display text only, so a float error does not flip it
+    real = theorems.lens_torsion
+
+    def patched(field, change, at):
+        def torsion(q, r):
+            t = real(q, r)
+            return dataclasses.replace(t, **{field: change(getattr(t, field))}) \
+                if (q, r) == at else t
+        monkeypatch.setattr(theorems, "lens_torsion", torsion)
+        [check] = theorems._torsion([], 60)
+        return check
+
+    check = patched("log_value", lambda v: v + 1e-9, (4, 1))
+    assert check.passed and check.detail == "log residual 1.00e-09"
+    check = patched("exact", lambda v: v + 1, (6, 3))
+    assert not check.passed
