@@ -3,14 +3,16 @@
 Character tables of the binary polyhedral groups are derived by the
 modular Dixon-Schneider method, with no floating point, seed or
 tolerance: the class-sum structure constant matrices are split into
-common eigenspaces over GF(p), p = 241 (the smallest prime with
-120 | p - 1), class by class; each one-dimensional eigenspace is a
-central character, which gives chi(1) and the residues of chi; and the
-eigenvalue multiplicities of rho(g), integers below p recovered by a
-discrete Fourier transform over the power map, give each value exactly
-as a sum of roots of unity.  Nothing is trusted until the row
+common eigenspaces over GF(p), p = exactnum.PRIME = 241 (the
+smallest prime with 120 | p - 1), class by class; each one-dimensional
+eigenspace is a central character, which gives chi(1) and the residues
+of chi; and the eigenvalue multiplicities of rho(g), integers below p
+recovered by a discrete Fourier transform over the power map, give each
+value exactly as a sum of roots of unity.  Nothing is trusted until the row
 orthogonality relations are verified in exact arithmetic; the column
-relations follow from them, since the table is square.
+relations follow from them, since the table is square.  `rref`, the
+row reduction over GF(p) or Q, also serves the exact solver in
+`theorems` and the projector oracle in `spectra`.
 
 The names come from the McKay graph (McKay 1980), the adjacency A_ij =
 <chi_j, chi_1/2 chi_i> of tensoring with the defining representation:
@@ -41,8 +43,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (CONDUCTOR, DEGREE, CycloNum, ONE, ZERO, format_value,
-                       root_of_unity, trace_form)
+from .exactnum import (CONDUCTOR, DEGREE, PRIME, CycloNum, ONE, ZERO,
+                       _primitive_root_of_unity, format_value, root_of_unity,
+                       trace_form)
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle, _least_rotation)
 
@@ -365,9 +368,6 @@ class CharacterTable:
 # -- Dixon/Schneider derivation over GF(p) -----------------------------
 
 
-PRIME = 241   # the smallest prime p with CONDUCTOR | p - 1
-
-
 def _structure_matrices(G: FiniteGroup) -> list[list[list[int]]]:
     """a[i][j][l] with C_i C_j = sum_l a_{ijl} C_l (class sums)."""
     k = G.num_classes
@@ -388,7 +388,7 @@ def _structure_matrices(G: FiniteGroup) -> list[list[list[int]]]:
     return a
 
 
-def _rref(rows: list[list], p: int | None) -> tuple[list[list], list[int]]:
+def rref(rows: list[list], p: int | None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form over GF(p), or over Q (as Fractions) when
     p is None: (nonzero rows, pivot columns)."""
     if p is None:
@@ -416,7 +416,7 @@ def _rref(rows: list[list], p: int | None) -> tuple[list[list], list[int]]:
 
 def _nullspace(M: list[list[int]], p: int) -> list[list[int]]:
     """A basis of {y : M y = 0} over GF(p)."""
-    rows, pivots = _rref(M, p)
+    rows, pivots = rref(M, p)
     n = len(M[0])
     basis = []
     for f in (c for c in range(n) if c not in pivots):
@@ -466,19 +466,11 @@ def _split(A: list[list[int]], space, p: int) -> list:
     for lam in _eigenvalues(R, p):
         shifted = [[v - lam if s == t else v for t, v in enumerate(line)]
                    for s, line in enumerate(R)]
-        parts.append(_rref([[sum(y_t * b[l] for y_t, b in zip(y, rows))
-                             for l in range(k)] for y in _nullspace(shifted, p)], p))
+        parts.append(rref([[sum(y_t * b[l] for y_t, b in zip(y, rows))
+                            for l in range(k)] for y in _nullspace(shifted, p)], p))
     if sum(len(part[0]) for part in parts) != m:
         raise TableDerivationError("a class matrix is not diagonalizable mod p")
     return parts
-
-
-def _primitive_root_of_unity(p: int) -> int:
-    """The first power x^((p-1)/CONDUCTOR) mod p of order exactly
-    CONDUCTOR = 2^3 * 3 * 5."""
-    powers = (pow(x, (p - 1) // CONDUCTOR, p) for x in range(2, p))
-    return next(z for z in powers
-                if all(pow(z, CONDUCTOR // f, p) != 1 for f in (2, 3, 5)))
 
 
 def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
@@ -497,7 +489,7 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
         raise TableDerivationError(
             f"{p} is not a prime = 1 mod {CONDUCTOR} above |{G.name}| = {len(G)}")
     k = G.num_classes
-    spaces = [_rref([[int(i == j) for j in range(k)] for i in range(k)], p)]
+    spaces = [rref([[int(i == j) for j in range(k)] for i in range(k)], p)]
     for A in _structure_matrices(G):       # class matrices in class order
         if all(len(rows) == 1 for rows, _ in spaces):
             break

@@ -16,6 +16,14 @@ evaluates the trace form Tr(conj(a) b) on the integer coefficients
 alone, for sums that are known to be rational.  Floating point
 only ever appears through `embed_float`, which is for display and
 diagnostics.
+
+`reduce_mod_p` maps Q(zeta) to GF(p), p = PRIME = 241, the smallest
+prime with 120 | p - 1, by zeta -> z for a z of order exactly 120 mod p.
+x^120 - 1 has 120 distinct roots mod p (p does not divide 120), and
+those of order 120 are the roots of Phi_120, so the map is a ring
+homomorphism on every value whose denominator p does not divide.
+Complex conjugation, zeta -> zeta^-1, becomes z -> z^-1.  The character
+tables are derived over GF(p), and the projector oracle counts there.
 """
 
 from __future__ import annotations
@@ -338,6 +346,27 @@ def trace_form(a: CycloNum, b: CycloNum) -> int:
         if ai:
             total += ai * sum(map(mul, _TRACE_ROWS[i], bnum[i & 3::4]))
     return total
+
+
+PRIME = 241   # the smallest prime p with CONDUCTOR | p - 1
+
+
+def _primitive_root_of_unity(p: int) -> int:
+    """The first power x^((p-1)/CONDUCTOR) mod p of order exactly
+    CONDUCTOR = 2^3 * 3 * 5."""
+    powers = (pow(x, (p - 1) // CONDUCTOR, p) for x in range(2, p))
+    return next(z for z in powers
+                if all(pow(z, CONDUCTOR // f, p) != 1 for f in (2, 3, 5)))
+
+
+# z^i mod PRIME for i < DEGREE, z = _primitive_root_of_unity(PRIME)
+_ZPOW_MOD_P = tuple(pow(_primitive_root_of_unity(PRIME), i, PRIME) for i in range(DEGREE))
+
+
+def reduce_mod_p(a: CycloNum) -> int:
+    """The image of a in GF(PRIME) under zeta -> z (see the module
+    docstring); ValueError, from `pow`, when PRIME divides a.den."""
+    return sum(map(mul, a.num, _ZPOW_MOD_P)) * pow(a.den, -1, PRIME) % PRIME
 
 
 def embed_float(a: CycloNum) -> complex:

@@ -36,14 +36,14 @@ entry after it is integer arithmetic, kept on the group and grown
 together as deep as asked.  `degeneracy` keeps the direct per-level
 inner product as the oracle.
 
-An independent numeric oracle is provided for small levels: explicit
-spin-j matrices are built from the quaternions, the group average of
-rho-bar tensor D^(j) is formed, and its trace (the invariant count) is
-compared against the exact formula.  The SU(2) matrices of a group's
-elements are stacked once per group and the spin-j matrices once per
-level, both kept on the group.  The oracle is the only user of numpy in
-the library, so its functions import numpy when called and importing
-this module (or the CLI) does not load it.
+An independent oracle counts m_n for levels up to ORACLE_MAX_LEVEL
+exactly over GF(p), p = exactnum.PRIME: the spin-n/2 matrices of every
+element are built from its quaternion, summed over each class, and the
+twist's isotypic projector, formed from these class sums, has rank
+dim rho * m_n.  The SU(2) entries mod p are kept on the group, and so
+are the class sums per level.  The oracle takes no spin character,
+inner product or CycloNum product, so it shares no path with the
+formula it checks.
 """
 
 from __future__ import annotations
@@ -51,16 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from operator import mul
 
 from .characters import (ClassFunction, character_table, cyclic_character,
-                         inner_product, nonnegative_int, spin_character)
-from .exactnum import ONE, ZERO, CycloNum, root_of_unity
+                         inner_product, nonnegative_int, rref, spin_character)
+from .exactnum import ONE, PRIME, ZERO, CycloNum, reduce_mod_p, root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
 from .mckay import mckay_adjacency
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class TwistError(ValueError):
@@ -378,126 +375,88 @@ def lens_torsion(q: int, r: int) -> LensTorsion:
     return LensTorsion(q, r % q, exact, value, math.log(value))
 
 
-# -- numeric projector oracle --------------------------------------------
+# -- exact projector oracle over GF(p) -----------------------------------
 
 
-def su2_matrix(e) -> np.ndarray:
-    """Double-precision SU(2) matrix of a quaternion element."""
-    import numpy as np
-    w, x, y, z = (c.to_complex().real for c in (e.w, e.x, e.y, e.z))
-    return np.array([[w + 1j * x, y + 1j * z],
-                     [-y + 1j * z, w - 1j * x]], dtype=complex)
+def _su2_mod_p(G: FiniteGroup) -> tuple:
+    """(a11, a12, a21, a22) mod PRIME for every element w + xi + yj + zk,
+    the entries of its SU(2) matrix [[w + ix, y + iz], [-y + iz, w - ix]];
+    reduced once per group."""
+    if G._oracle_su2 is None:
+        i = reduce_mod_p(root_of_unity(4))
+        entries = []
+        for e in G.elements:
+            w, x, y, z = map(reduce_mod_p, (e.w, e.x, e.y, e.z))
+            entries.append(((w + i * x) % PRIME, (y + i * z) % PRIME,
+                            (i * z - y) % PRIME, (w - i * x) % PRIME))
+        G._oracle_su2 = tuple(entries)
+    return G._oracle_su2
 
 
-def spin_matrix(u: np.ndarray, two_j: int) -> np.ndarray:
-    """Spin-j matrices in the orthonormal monomial basis (standard angular
-    momentum construction, unitary for u in SU(2)), for a stack of SU(2)
-    matrices of shape (..., 2, 2)."""
-    import numpy as np
-    dim = two_j + 1
-    out = np.zeros(u.shape[:-2] + (dim, dim), dtype=complex)
-    powers = [[u[..., a, b] ** k for k in range(dim)] for a in (0, 1) for b in (0, 1)]
-    p11, p12, p21, p22 = powers
-    fact = [math.factorial(k) for k in range(dim)]
-    for col in range(dim):
-        p, s = two_j - col, col
-        # expand (a11 u1 + a21 u2)^p (a12 u1 + a22 u2)^s; the power of u1
-        # in a term fixes its row
-        for k1 in range(p + 1):
-            first = math.comb(p, k1) * p11[k1] * p21[p - k1]
-            for k2 in range(s + 1):
-                out[..., two_j - k1 - k2, col] += (first * math.comb(s, k2)
-                                                   * p12[k2] * p22[s - k2])
-        for row in range(dim):
-            out[..., row, col] *= math.sqrt(fact[two_j - row] * fact[row]
-                                            / (fact[p] * fact[s]))
+def _linear_powers(a: int, b: int, n: int) -> list:
+    """Coefficient lists of (a + b t)^k mod PRIME for k = 0..n."""
+    out = [[1]]
+    for _ in range(n):
+        last = out[-1]
+        out.append([(a * x + b * y) % PRIME for x, y in zip(last + [0], [0] + last)])
     return out
 
 
-def _frozen(mats) -> np.ndarray:
-    import numpy as np
-    stacked = np.stack(mats)
-    stacked.flags.writeable = False
-    return stacked
+def _class_sums(G: FiniteGroup, n: int) -> tuple:
+    """Per class c, C_c = sum of D^(n/2)(g) over g in c mod PRIME, a flat
+    row-major tuple; kept on G per level, since no twist enters.
 
-
-def _spin_matrices(G: FiniteGroup, two_j: int) -> np.ndarray:
-    """D^(j)(g) for every element of G, stacked along the first axis and
-    built once per (group, level) from the SU(2) stack, built once per
-    group."""
-    cache = G._oracle_spin
-    if two_j not in cache:
-        if G._oracle_su2 is None:
-            G._oracle_su2 = _frozen([su2_matrix(e) for e in G.elements])
-        cache[two_j] = _frozen(spin_matrix(G._oracle_su2, two_j))
-    return cache[two_j]
-
-
-def _irrep_matrices(G: FiniteGroup, name: str) -> np.ndarray:
-    """Numeric matrices of an irreducible, stacked along the first axis,
-    extracted from the smallest spin representation containing it
-    exactly once; built once per (group, irrep)."""
-    import numpy as np
-    table = character_table(G)
-    irrep = table[name]
-    if irrep.name in G._oracle_irreps:
-        return G._oracle_irreps[irrep.name]
-    dim = irrep.label.dimension
-    chosen = None
-    for two_j in range(0, 4 * len(G)):
-        if _column(G, irrep.name, two_j + 1)[two_j] == 1:
-            chosen = two_j
-            break
-    if chosen is None:
-        raise ContractViolation(f"no multiplicity-one spin level for {name}")
-    big = _spin_matrices(G, chosen)
-    chivals = [irrep.char.value_on_element(i).to_complex()
-               for i in range(len(G))]
-    proj = sum(np.conj(chivals[i]) * big[i] for i in range(len(G)))
-    proj *= dim / len(G)
-    eigval, eigvec = np.linalg.eigh((proj + proj.conj().T) / 2)
-    cols = [k for k, v in enumerate(eigval) if v > 0.5]
-    if len(cols) != dim:
-        raise ContractViolation(f"isotypic projector rank {len(cols)} != {dim}")
-    basis = eigvec[:, cols]
-    mats = [basis.conj().T @ big[i] @ basis for i in range(len(G))]
-    for i in range(len(G)):
-        if abs(np.trace(mats[i]) - chivals[i]) > 1e-8:
-            raise ContractViolation("extracted irrep has wrong character")
-    G._oracle_irreps[irrep.name] = _frozen(mats)
-    return G._oracle_irreps[irrep.name]
+    D(g) acts on the monomials u1^(n-r) u2^r, unnormalised, so that every
+    entry is a polynomial in the SU(2) entries with integer binomials:
+    column c expands (a11 u1 + a21 u2)^(n-c) (a12 u1 + a22 u2)^c, and row
+    r holds its coefficient of u1^(n-r) u2^r."""
+    sums = G._oracle_class_sums
+    if n not in sums:
+        dim = n + 1
+        acc = [[0] * (dim * dim) for _ in range(G.num_classes)]
+        for c, (a11, a12, a21, a22) in zip(G.class_of, _su2_mod_p(G)):
+            first, second = _linear_powers(a11, a21, n), _linear_powers(a12, a22, n)
+            flat = acc[c]
+            for col in range(dim):
+                for j, x in enumerate(first[n - col]):
+                    for l, y in enumerate(second[col]):
+                        flat[(j + l) * dim + col] += x * y
+        sums[n] = tuple(tuple(v % PRIME for v in flat) for flat in acc)
+    return sums[n]
 
 
 ORACLE_MAX_LEVEL = 8
 
 
 def oracle_projector_degeneracy(target, twist, n: int) -> int:
-    """Brute-force degeneracy: average rho-bar tensor D^(n/2) over the
-    group and read the (near-integer) trace of the projector.
+    """Degeneracy at level n by counting, for an irreducible twist chi.
 
-    Independent of the character-formula path: the spin matrices are
-    built numerically from the quaternions and the average is a plain
-    matrix sum."""
-    import numpy as np
-    if n > ORACLE_MAX_LEVEL:
-        raise ValueError(f"oracle restricted to levels <= {ORACLE_MAX_LEVEL}")
+    sum_g chi(g^-1) D^(n/2)(g) is |G|/dim chi times the projector onto
+    the chi-isotypic part of the spin-n/2 representation (Serre, Linear
+    Representations of Finite Groups, 2.6), of rank dim chi * m_n.  Over
+    GF(p), p = PRIME, it is P = sum_c chi(c^-1) C_c.  Since p = 1 mod 120
+    and p > |G|, P is |G|/dim chi times the reduction of that projector,
+    an idempotent of rank dim chi * m_n < p.  P P = (|G|/dim chi) P is
+    checked exactly, and `rref` gives the rank.  No spin character, inner
+    product or CycloNum arithmetic is used."""
+    if not 0 <= n <= ORACLE_MAX_LEVEL:
+        raise ValueError(f"oracle restricted to levels 0..{ORACLE_MAX_LEVEL}")
     tw = TwistSpec.coerce(target, twist)
-    G = tw.group
-    if tw.cyclic_twist is not None:
-        q = len(G)
-        # element order = power order for cyclic
-        rho = np.exp(2j * np.pi * tw.cyclic_twist * np.arange(q) / q)
-        rho = rho.reshape(q, 1, 1)
-    else:
-        if len(tw.combo) != 1 or tw.combo[0][1] != 1:
-            raise TwistError("oracle accepts irreducible twists only")
-        rho = _irrep_matrices(G, tw.combo[0][0])
-    spin = _spin_matrices(G, n)
-    dim = rho.shape[1] * spin.shape[1]
-    # sum over g of kron(conj rho(g), D(g)), as one contraction
-    acc = np.einsum("gab,gcd->acbd", np.conj(rho), spin).reshape(dim, dim)
-    proj = acc / len(G)
-    tr = np.trace(proj)
-    if abs(tr.imag) > 1e-6 or abs(tr.real - round(tr.real)) > 1e-6:
-        raise ContractViolation(f"projector trace {tr} is not near-integral")
-    return (n + 1) * round(tr.real)
+    if tw.cyclic_twist is None and (len(tw.combo) != 1 or tw.combo[0][1] != 1):
+        raise TwistError("oracle accepts irreducible twists only")
+    G, chi = tw.group, tw.character()
+    dim = chi.value_on_element(G.identity_index).as_integer()
+    weights = [reduce_mod_p(chi.value_on_element(G.inv[rep])) for rep in G.class_reps]
+    flat = [sum(map(mul, weights, entry)) % PRIME for entry in zip(*_class_sums(G, n))]
+    P = [flat[r:r + n + 1] for r in range(0, len(flat), n + 1)]
+    scale, cols = len(G) // dim, list(zip(*P))
+    if any((sum(map(mul, row, col)) - scale * v) % PRIME
+           for row in P for col, v in zip(cols, row)):
+        raise ContractViolation(
+            f"oracle at level {n}: the class sum of {tw.describe()} is not "
+            f"{scale} times an idempotent mod {PRIME}")
+    rank = len(rref(P, PRIME)[1])
+    if rank % dim:
+        raise ContractViolation(
+            f"oracle at level {n}: rank {rank} is not a multiple of dim {dim}")
+    return (n + 1) * rank // dim

@@ -9,13 +9,13 @@ import pytest
 from spaceforms import groups
 from spaceforms.characters import (GALOIS_GENERATORS, CharacterTable,
                                    ClassFunction, TableDerivationError,
-                                   _dixon_characters,
-                                   _rref, _split, character_table,
+                                   _dixon_characters, _split,
+                                   character_table,
                                    cyclic_character, inner_product,
                                    inner_product_int, nonnegative_int,
                                    normalize_irrep_name,
-                                   regular_character, restrict, spin_character,
-                                   trivial_character)
+                                   regular_character, restrict, rref,
+                                   spin_character, trivial_character)
 from spaceforms.cli import main
 from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, ZERO, embed_float,
                                  root_of_unity)
@@ -392,17 +392,17 @@ def test_unsuitable_primes_are_refused(g2t):
 def test_rref_over_q_and_mod_p():
     rows = [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
     # over Q the third row is the sum of the first two: rank 2
-    echelon, pivots = _rref(rows, None)
+    echelon, pivots = rref(rows, None)
     assert pivots == [0, 2]
     assert echelon == [[1, 2, 0], [0, 0, 1]]
     assert all(isinstance(v, Fraction) for row in echelon for v in row)
-    assert _rref([[2, 1], [1, 2]], None)[0] == [[1, 0], [0, 1]]
+    assert rref([[2, 1], [1, 2]], None)[0] == [[1, 0], [0, 1]]
     # mod 3 the same pair is singular: 2 * (1, 2) = (2, 1)
-    assert _rref([[2, 1], [1, 2]], 3) == ([[1, 2]], [0])
+    assert rref([[2, 1], [1, 2]], 3) == ([[1, 2]], [0])
 
 
 def test_split_refuses_a_non_diagonalizable_matrix():
-    plane = _rref([[1, 0], [0, 1]], 241)
+    plane = rref([[1, 0], [0, 1]], 241)
     assert [rows for rows, _ in _split([[2, 0], [0, 3]], plane, 241)] == \
         [[[1, 0]], [[0, 1]]]
     with pytest.raises(TableDerivationError):

@@ -295,7 +295,7 @@ def test_contract_violation_while_filling_the_cache_is_internal(capsys, tmp_path
 def test_a_singular_system_inside_verify_matrices_is_internal(capsys, monkeypatch):
     # the reference systems are invertible, so a solver that finds no pivot
     # is a fault of the library, not a usage error
-    monkeypatch.setattr(theorems, "_rref", lambda rows, modulus: (rows, []))
+    monkeypatch.setattr(theorems, "rref", lambda rows, modulus: (rows, []))
     code, out, err = run(capsys, "verify", "matrices")
     assert code == 3 and out == ""
     assert err.startswith("internal contract violation: verify matrices: singular system")
@@ -533,6 +533,6 @@ def test_cli_runs_without_numpy(capsys):
         assert code == want and got == [code, out], argv
 
 
-def test_verify_oracle_passes_with_numpy(capsys):
+def test_verify_oracle_passes(capsys):
     code, out, _ = run(capsys, "verify", "oracle")
     assert code == 0 and "FAIL" not in out and "PASS" in out

@@ -1,7 +1,8 @@
 """Property tests for the exact arithmetic: the CycloNum field laws, the
-Galois action, the trace form, the class-function inner product, the
-Galois-stability flags that choose its route, and the integer quaternion
-product on the lattice Z[sqrt d]/4 that builds the groups.
+Galois action, the trace form, the reduction to GF(241), the
+class-function inner product, the Galois-stability flags that choose its
+route, and the integer quaternion product on the lattice Z[sqrt d]/4 that
+builds the groups.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases."""
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from spaceforms.characters import (ClassFunction, character_table, galois_stable,
                                    inner_product, restrict, spin_character,
                                    trivial_character)
-from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, ZERO, CycloNum, root_of_unity,
-                                 trace_form)
+from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, PRIME, ZERO, CycloNum,
+                                 _primitive_root_of_unity, reduce_mod_p,
+                                 root_of_unity, trace_form)
 from spaceforms.groups import lattice_mul, lattice_quat, lattice_to_quat
 from spaceforms.induction import induce_character
 
@@ -50,6 +52,20 @@ def test_ring_laws(a, b, c):
 def test_products_match_the_complex_embedding(a, b):
     # an independent route: multiply the images in C
     assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-6
+
+
+@exact
+@given(cyclo, cyclo)
+def test_reduction_mod_p_is_a_ring_homomorphism(a, b):
+    # zeta -> z respects sums and products, and conjugation zeta -> zeta^-1
+    # becomes z -> z^-1, evaluated here on the coefficients
+    p = PRIME
+    assert reduce_mod_p(a + b) == (reduce_mod_p(a) + reduce_mod_p(b)) % p
+    assert reduce_mod_p(a * b) == reduce_mod_p(a) * reduce_mod_p(b) % p
+    z_inv = pow(_primitive_root_of_unity(p), -1, p)
+    at_z_inv = sum(c * pow(z_inv, i, p) for i, c in enumerate(a.num)) * pow(a.den, -1, p)
+    assert reduce_mod_p(a.conjugate()) == at_z_inv % p
+    assert reduce_mod_p(ONE) == 1 and reduce_mod_p(CycloNum.zeta(1)) == pow(z_inv, -1, p)
 
 
 @exact

@@ -5,6 +5,7 @@ import pytest
 
 from spaceforms import characters, groups, spectra
 from spaceforms.characters import character_table
+from spaceforms.exactnum import CycloNum
 from spaceforms.groups import ContractViolation
 from spaceforms.mckay import mckay_adjacency
 from spaceforms.spectra import (DegeneracySeries, SpectralWeight, TwistError,
@@ -366,10 +367,44 @@ def test_series_checks_the_period_block(g2i):
 
 
 def test_oracle_matrices_cached_per_group(g2t):
-    first = spectra._irrep_matrices(g2t, "3")
-    again = spectra._irrep_matrices(g2t, "3")
-    assert again is first
-    assert spectra._spin_matrices(g2t, 4) is spectra._spin_matrices(g2t, 4)
-    with pytest.raises(ValueError):   # cached arrays cannot be altered
-        first[1][0, 0] = 0
+    # the class sums of D^(n/2) mod p are kept per (group, level), and no
+    # twist enters them
     assert oracle_projector_degeneracy(g2t, "3", 4) == degeneracy(g2t, "3", 4)
+    sums = spectra._class_sums(g2t, 4)
+    assert g2t._oracle_class_sums[4] is sums
+    assert oracle_projector_degeneracy(g2t, "2s", 4) == degeneracy(g2t, "2s", 4)
+    assert spectra._class_sums(g2t, 4) is sums
+    assert len(sums) == g2t.num_classes and {len(c) for c in sums} == {25}
+    # the identity class holds D(E) = I
+    assert sums[g2t.class_of[g2t.identity_index]] == tuple(int(r == c) for r in range(5)
+                                                           for c in range(5))
+    assert spectra._su2_mod_p(g2t) is spectra._su2_mod_p(g2t)
+
+
+def test_oracle_refuses_a_twist_that_is_not_a_character(monkeypatch, g2i):
+    # irrep 3 with its [T] and [T^2] values swapped is a class function but
+    # no character: its class sum is no multiple of an idempotent
+    values = list(character_table(g2i)["3"].char.values)
+    t, t2 = g2i.class_by_label["T"], g2i.class_by_label["T^2"]
+    values[t], values[t2] = values[t2], values[t]
+    mutant = characters.ClassFunction(g2i, values)
+    monkeypatch.setattr(TwistSpec, "character", lambda self: mutant)
+    with pytest.raises(ContractViolation, match="oracle at level 6"):
+        oracle_projector_degeneracy(g2i, "3", 6)
+
+
+def test_oracle_counts_without_field_arithmetic(monkeypatch, g2o):
+    # the oracle is an independent route: it takes no spin character, no
+    # inner product and no CycloNum product or sum; the table is derived
+    # before they are refused
+    character_table(g2o)
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached the character formula")
+    for module, name in ((spectra, "spin_character"), (spectra, "inner_product"),
+                         (characters, "trace_form")):
+        monkeypatch.setattr(module, name, refuse)
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    assert [oracle_projector_degeneracy(g2o, "4s", n) for n in range(9)] == \
+        [0, 0, 0, 4, 0, 6, 0, 8, 0]
