@@ -390,7 +390,7 @@ class FiniteGroup:
         g._char_table = None
         g._spin_chars = {}          # 2j -> spin character (characters)
         g._power_classes = None     # per Galois generator s, class of rep^s (characters)
-        g._oracle_su2 = None        # SU(2) entries mod p per element (spectra)
+        g._oracle_su2 = None        # SU(2) linear-form powers mod p per element (spectra)
         g._oracle_class_sums = {}   # n -> class sums of D^(n/2) mod p (spectra)
         g._cyclic_subgroups = {}
         g._mckay_adjacency = None       # McKay graph, table order (characters)

@@ -40,10 +40,10 @@ An independent oracle counts m_n for levels up to ORACLE_MAX_LEVEL
 exactly over GF(p), p = exactnum.PRIME: the spin-n/2 matrices of every
 element are built from its quaternion, summed over each class, and the
 twist's isotypic projector, formed from these class sums, has rank
-dim rho * m_n.  The SU(2) entries mod p are kept on the group, and so
-are the class sums per level.  The oracle takes no spin character,
-inner product or CycloNum product, so it shares no path with the
-formula it checks.
+dim rho * m_n.  Each element's SU(2) entries are reduced mod p once per
+group, and the class sums are kept per level, both on the group.  The
+oracle takes no spin character, inner product or CycloNum product, so
+it shares no path with the formula it checks.
 """
 
 from __future__ import annotations
@@ -378,28 +378,31 @@ def lens_torsion(q: int, r: int) -> LensTorsion:
 # -- exact projector oracle over GF(p) -----------------------------------
 
 
-def _su2_mod_p(G: FiniteGroup) -> tuple:
-    """(a11, a12, a21, a22) mod PRIME for every element w + xi + yj + zk,
-    the entries of its SU(2) matrix [[w + ix, y + iz], [-y + iz, w - ix]];
-    reduced once per group."""
-    if G._oracle_su2 is None:
-        i = reduce_mod_p(root_of_unity(4))
-        entries = []
-        for e in G.elements:
-            w, x, y, z = map(reduce_mod_p, (e.w, e.x, e.y, e.z))
-            entries.append(((w + i * x) % PRIME, (y + i * z) % PRIME,
-                            (i * z - y) % PRIME, (w - i * x) % PRIME))
-        G._oracle_su2 = tuple(entries)
-    return G._oracle_su2
+ORACLE_MAX_LEVEL = 8
 
 
-def _linear_powers(a: int, b: int, n: int) -> list:
-    """Coefficient lists of (a + b t)^k mod PRIME for k = 0..n."""
+def _linear_powers(a: int, b: int) -> list:
+    """Coefficient lists of (a + b t)^k mod PRIME for k <= ORACLE_MAX_LEVEL."""
     out = [[1]]
-    for _ in range(n):
+    for _ in range(ORACLE_MAX_LEVEL):
         last = out[-1]
         out.append([(a * x + b * y) % PRIME for x, y in zip(last + [0], [0] + last)])
     return out
+
+
+def _su2_powers(G: FiniteGroup) -> tuple:
+    """Per element, the powers of the linear forms a11 + a21 t and
+    a12 + a22 t mod PRIME (`_linear_powers`), from the entries of its
+    SU(2) matrix [[w + ix, y + iz], [-y + iz, w - ix]]; once per group."""
+    if G._oracle_su2 is None:
+        i = reduce_mod_p(root_of_unity(4))
+        powers = []
+        for e in G.elements:
+            w, x, y, z = map(reduce_mod_p, (e.w, e.x, e.y, e.z))
+            powers.append((_linear_powers(w + i * x, i * z - y),
+                           _linear_powers(y + i * z, w - i * x)))
+        G._oracle_su2 = tuple(powers)
+    return G._oracle_su2
 
 
 def _class_sums(G: FiniteGroup, n: int) -> tuple:
@@ -414,8 +417,7 @@ def _class_sums(G: FiniteGroup, n: int) -> tuple:
     if n not in sums:
         dim = n + 1
         acc = [[0] * (dim * dim) for _ in range(G.num_classes)]
-        for c, (a11, a12, a21, a22) in zip(G.class_of, _su2_mod_p(G)):
-            first, second = _linear_powers(a11, a21, n), _linear_powers(a12, a22, n)
+        for c, (first, second) in zip(G.class_of, _su2_powers(G)):
             flat = acc[c]
             for col in range(dim):
                 for j, x in enumerate(first[n - col]):
@@ -423,9 +425,6 @@ def _class_sums(G: FiniteGroup, n: int) -> tuple:
                         flat[(j + l) * dim + col] += x * y
         sums[n] = tuple(tuple(v % PRIME for v in flat) for flat in acc)
     return sums[n]
-
-
-ORACLE_MAX_LEVEL = 8
 
 
 def oracle_projector_degeneracy(target, twist, n: int) -> int:

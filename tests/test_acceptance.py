@@ -5,7 +5,7 @@ sub-checks (7b, 7c, 10b) take claims from the classical write-up that
 exact computation refutes.  Each computes its claim exactly as printed
 and then pins the exact way it fails, together with the true identity,
 cross-checked by a route that does not share the character-formula
-series (the numeric projector oracle, or an exhaustive search of the
+series (the projector oracle over GF(241), or an exhaustive search of the
 multiplication table).  They pass when the refutation comes out exactly
 as documented, so a broken series, a relabelled irrep or a corrupt
 multiplication table turns them red.  `spaceforms verify all` still

@@ -378,7 +378,7 @@ def test_oracle_matrices_cached_per_group(g2t):
     # the identity class holds D(E) = I
     assert sums[g2t.class_of[g2t.identity_index]] == tuple(int(r == c) for r in range(5)
                                                            for c in range(5))
-    assert spectra._su2_mod_p(g2t) is spectra._su2_mod_p(g2t)
+    assert spectra._su2_powers(g2t) is spectra._su2_powers(g2t)
 
 
 def test_oracle_refuses_a_twist_that_is_not_a_character(monkeypatch, g2i):
