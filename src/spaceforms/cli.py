@@ -8,6 +8,7 @@ documents (no timestamps, fixed orderings).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -337,9 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(verify_items: tuple) -> argparse.ArgumentParser:
+    """`build_parser()`, built once per set of registry names: a parser
+    holds no state between parses, and the key makes a changed registry
+    build a new one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(theorems.VERIFY_ITEMS)).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, LookupError) as exc:     # UsageError is a ValueError

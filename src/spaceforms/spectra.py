@@ -33,17 +33,21 @@ obeys v_{n+1} = A v_n - v_{n-1} from v_0 = e_1, v_{-1} = 0, with A the
 McKay adjacency (McKay 1980; Kostant 1984).  A costs one set of exact
 inner products per group (none on a cyclic group), and every column
 entry after it is integer arithmetic, kept on the group and grown
-together as deep as asked.  `degeneracy` keeps the direct per-level
-inner product as the oracle.
+together as deep as asked; so are the steps, read from the twist's
+integer values at E and -E.  `degeneracy` keeps the direct per-level
+inner product, which the tests compare with the series.
 
 An independent oracle counts m_n for levels up to ORACLE_MAX_LEVEL
 exactly over GF(p), p = exactnum.PRIME: the spin-n/2 matrices of every
 element are built from its quaternion, summed over each class, and the
 twist's isotypic projector, formed from these class sums, has rank
-dim rho * m_n.  Each element's SU(2) entries are reduced mod p once per
-group, and the class sums are kept per level, both on the group.  The
-oracle takes no spin character, inner product or CycloNum product, so
-it shares no path with the formula it checks.
+dim rho * m_n, read off its trace once its idempotency is checked.
+Each element's SU(2) entries are reduced mod p and their powers packed
+into integers once per group, so that a column of a spin matrix is one
+integer product, and the class sums are kept per level, both on the
+group.  The oracle takes no spin character, inner product, CycloNum
+product or row reduction, so it shares no path with the formula it
+checks.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import count, takewhile
+from operator import add, mul
 
 from .characters import (ClassFunction, character_table, cyclic_character,
-                         inner_product, nonnegative_int, rref, spin_character)
-from .exactnum import ONE, PRIME, ZERO, CycloNum, reduce_mod_p, root_of_unity
+                         inner_product, nonnegative_int, spin_character)
+from .exactnum import ONE, PRIME, CycloNum, reduce_mod_p, root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
 from .mckay import mckay_adjacency
 
@@ -233,24 +238,33 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
     module docstring).  Every column entry is a checked non-negative
     integer, every block entry and both steps Delta_0, Delta_1 must be
     non-negative integers, so every entry is a checked non-negative
-    integer and equals `degeneracy(target, twist, n)`."""
+    integer and equals `degeneracy(target, twist, n)`.  The steps read the
+    twist's values at E and -E, which are integers (Delta_p counts no -E
+    term when -E is not in the group, as in an odd cyclic group)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     tw = _genuine_twist(target, twist)
     G = tw.group
-    chi = tw.character()
     period = math.lcm(*G.orders)
-    at_e = chi.value_on_element(G.identity_index).conjugate()
-    at_neg_e = (chi.value_on_element(G.neg_identity_index).conjugate()
-                if G.neg_identity_index is not None else ZERO)
-    step = [nonnegative_int((at_e + sign * at_neg_e) * Fraction(period, len(G)),
-                            f"period step Delta_{p}")
-            for p, sign in ((0, 1), (1, -1))]
+    centre = [i for i in (G.identity_index, G.neg_identity_index) if i is not None]
     if tw.cyclic_twist is not None:
         terms = [(tw.cyclic_twist, 1)]
+        # class j of a cyclic group is g^j, the order `cyclic_character`
+        # reads, so -E = g^(q/2) and omega^r(-E) = (-1)^r
+        values = [1, (-1) ** tw.cyclic_twist][:len(centre)]
     else:
         table = character_table(G)
         terms = [(table[name].name, c) for name, c in tw.combo if c]
+        values = [sum(c * table[name].char.value_on_element(i).as_integer()
+                      for name, c in terms) for i in centre]
+    at_e, at_neg_e = (values + [0])[:2]
+    step = []
+    for p, sign in ((0, 1), (1, -1)):
+        d = Fraction(period, len(G)) * (at_e + sign * at_neg_e)
+        if d < 0 or d % 1:
+            raise ContractViolation(
+                f"period step Delta_{p} is not a non-negative integer: {d}")
+        step.append(int(d))
     depth = min(n_max + 1, period)
     columns = [(_column(G, irreducible, depth), c) for irreducible, c in terms]
     block = [sum(c * col[n] for col, c in columns) for n in range(depth)]
@@ -312,13 +326,21 @@ def spectral_sum(series: DegeneracySeries, weight: SpectralWeight) -> SpectralSu
     if weight.kind == "raw":
         return SpectralSum(float(sum(series.entries)), None, n_max + 1)
     if weight.kind == "counting":
+        # n(n+2) <= lam iff (n+1)^2 <= floor(lam) + 1: levels below k
         lam = weight.param
-        tot = sum(d for n, d in enumerate(series.entries) if n * (n + 2) <= lam)
-        return SpectralSum(float(tot), None, n_max + 1)
+        if lam == math.inf:
+            k = len(series.entries)
+        elif lam >= -1:
+            k = math.isqrt(math.floor(lam) + 1)
+        else:                           # below -1, -inf or NaN: no level
+            k = 0
+        return SpectralSum(float(sum(series.entries[:k])), None, n_max + 1)
     if weight.kind == "heat":
+        # the weight falls with n, so past its first exact 0.0 every term
+        # would add +0.0 and leave the float sum as it is
         t = weight.param
-        val = sum(d * math.exp(-t * n * (n + 2))
-                  for n, d in enumerate(series.entries))
+        weights = takewhile(bool, (math.exp(-t * n * (n + 2)) for n in count()))
+        val = sum(d * w for d, w in zip(series.entries, weights))
         # tail bound: d_n <= (n+1)^2 dim(rho); terms shrink faster than a
         # geometric series with ratio exp(-2t(n_max+2))*(1 + 1/(n_max+1))^2
         dim = series.twist.dimension()
@@ -390,17 +412,40 @@ def _linear_powers(a: int, b: int) -> list:
     return out
 
 
+def _slot_bits(order: int) -> int:
+    """Bits per packed coefficient (`_pack`) for a group of this order.
+
+    An entry of a class sum at a level n <= ORACLE_MAX_LEVEL adds at most
+    n + 1 products of residues below PRIME for each of at most `order`
+    elements, so it is at most (ORACLE_MAX_LEVEL + 1) order (PRIME - 1)^2,
+    and a slot of this many bits holds it without a carry."""
+    return ((ORACLE_MAX_LEVEL + 1) * order * (PRIME - 1) ** 2).bit_length()
+
+
+def _pack(coeffs, bits: int) -> int:
+    """sum_j coeffs[j] 2^(bits j): a polynomial as one integer, so that
+    one integer product is the product of two polynomials while no
+    coefficient outgrows its slot (Kronecker substitution)."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = packed << bits | c
+    return packed
+
+
 def _su2_powers(G: FiniteGroup) -> tuple:
     """Per element, the powers of the linear forms a11 + a21 t and
     a12 + a22 t mod PRIME (`_linear_powers`), from the entries of its
-    SU(2) matrix [[w + ix, y + iz], [-y + iz, w - ix]]; once per group."""
+    SU(2) matrix [[w + ix, y + iz], [-y + iz, w - ix]], each packed with
+    `_slot_bits(|G|)` bits per coefficient; once per group."""
     if G._oracle_su2 is None:
         i = reduce_mod_p(root_of_unity(4))
+        bits = _slot_bits(len(G))
         powers = []
         for e in G.elements:
             w, x, y, z = map(reduce_mod_p, (e.w, e.x, e.y, e.z))
-            powers.append((_linear_powers(w + i * x, i * z - y),
-                           _linear_powers(y + i * z, w - i * x)))
+            powers.append(tuple([_pack(p, bits) for p in _linear_powers(a, b)]
+                                for a, b in ((w + i * x, i * z - y),
+                                             (y + i * z, w - i * x))))
         G._oracle_su2 = tuple(powers)
     return G._oracle_su2
 
@@ -412,18 +457,18 @@ def _class_sums(G: FiniteGroup, n: int) -> tuple:
     D(g) acts on the monomials u1^(n-r) u2^r, unnormalised, so that every
     entry is a polynomial in the SU(2) entries with integer binomials:
     column c expands (a11 u1 + a21 u2)^(n-c) (a12 u1 + a22 u2)^c, and row
-    r holds its coefficient of u1^(n-r) u2^r."""
+    r holds its coefficient of u1^(n-r) u2^r.  On the packed powers the
+    column is one integer product; the packed columns are summed over the
+    class and unpacked once, which `_slot_bits` makes exact."""
     sums = G._oracle_class_sums
     if n not in sums:
-        dim = n + 1
-        acc = [[0] * (dim * dim) for _ in range(G.num_classes)]
+        dim, bits = n + 1, _slot_bits(len(G))
+        mask = (1 << bits) - 1
+        acc = [[0] * dim for _ in range(G.num_classes)]
         for c, (first, second) in zip(G.class_of, _su2_powers(G)):
-            flat = acc[c]
-            for col in range(dim):
-                for j, x in enumerate(first[n - col]):
-                    for l, y in enumerate(second[col]):
-                        flat[(j + l) * dim + col] += x * y
-        sums[n] = tuple(tuple(v % PRIME for v in flat) for flat in acc)
+            acc[c] = list(map(add, acc[c], map(mul, first[n::-1], second)))
+        sums[n] = tuple(tuple((col >> (bits * r) & mask) % PRIME
+                              for r in range(dim) for col in cols) for cols in acc)
     return sums[n]
 
 
@@ -436,8 +481,12 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
     GF(p), p = PRIME, it is P = sum_c chi(c^-1) C_c.  Since p = 1 mod 120
     and p > |G|, P is |G|/dim chi times the reduction of that projector,
     an idempotent of rank dim chi * m_n < p.  P P = (|G|/dim chi) P is
-    checked exactly, and `rref` gives the rank.  No spin character, inner
-    product or CycloNum arithmetic is used."""
+    checked exactly.  Then E = (dim chi/|G|) P is idempotent over GF(p),
+    so its minimal polynomial divides x^2 - x, E is diagonalisable with
+    eigenvalues 0 and 1, and rank E = tr E in GF(p); as the rank is at
+    most n + 1 < p, it is the residue tr(P) (|G|/dim chi)^-1 mod p.  No
+    spin character, inner product, CycloNum arithmetic or row reduction
+    is used."""
     if not 0 <= n <= ORACLE_MAX_LEVEL:
         raise ValueError(f"oracle restricted to levels 0..{ORACLE_MAX_LEVEL}")
     tw = TwistSpec.coerce(target, twist)
@@ -454,7 +503,7 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
         raise ContractViolation(
             f"oracle at level {n}: the class sum of {tw.describe()} is not "
             f"{scale} times an idempotent mod {PRIME}")
-    rank = len(rref(P, PRIME)[1])
+    rank = sum(flat[::n + 2]) * pow(scale, -1, PRIME) % PRIME
     if rank % dim:
         raise ContractViolation(
             f"oracle at level {n}: rank {rank} is not a multiple of dim {dim}")

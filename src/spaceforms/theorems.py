@@ -14,6 +14,7 @@ induction tables they come from are themselves triple-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,8 +28,8 @@ from .induction import (_mat_mul, column_sum, column_sum_is_regular,
                         verify_monomial_rep)
 from .mckay import (class_correspondence, compactified_diagram, mckay_graph,
                     relink_matches_mckay)
-from .spectra import (ORACLE_MAX_LEVEL, degeneracy, degeneracy_series,
-                      lens_torsion, oracle_projector_degeneracy)
+from .spectra import (ORACLE_MAX_LEVEL, degeneracy_series, lens_torsion,
+                      oracle_projector_degeneracy)
 
 GENERATORS = ("R", "S", "T", "RST")
 
@@ -491,13 +492,15 @@ def _artin(gs, n_max):
 
 
 def _oracle_check(G: FiniteGroup) -> CheckResult:
-    """The numeric projector oracle against the exact degeneracy for every
-    twist up to ORACLE_MAX_LEVEL; the first disagreement fails the group."""
+    """The GF(p) projector oracle against the degeneracy series, the one
+    the CLI and every other verdict read, for every twist up to
+    ORACLE_MAX_LEVEL; the first disagreement fails the group."""
     twists = (range(len(G)) if G.num_classes == len(G)
               else [ir.name for ir in character_table(G)])
     for tw in twists:
+        series = degeneracy_series(G, tw, ORACLE_MAX_LEVEL)
         for lev in range(ORACLE_MAX_LEVEL + 1):
-            o, f = oracle_projector_degeneracy(G, tw, lev), degeneracy(G, tw, lev)
+            o, f = oracle_projector_degeneracy(G, tw, lev), series[lev]
             if o != f:
                 return CheckResult(f"{G.name}:oracle", False,
                                    f"twist {tw} level {lev}: oracle {o} != {f}")
@@ -509,12 +512,17 @@ def _oracle(gs, n_max):
 
 
 def _torsion(gs, n_max):
-    """The anchors T(4,1) = 2, T(6,1) = 1, T(6,3) = 4 and the identity
-    T(4,1)^2 = T(6,1)^2 T(6,3), both on the exact values.  The detail
-    shows the float residual of its log form for display only."""
-    t41, t61, t63 = (lens_torsion(q, r) for q, r in ((4, 1), (6, 1), (6, 3)))
+    """On the exact values: the anchors T(4,1) = 2, T(6,1) = 1,
+    T(6,3) = 4, the identity T(4,1)^2 = T(6,1)^2 T(6,3), which follows
+    from the anchors, and, for q = 4 and 6, prod_{r=1}^{q-1} T(q, r) = q^2
+    (prod 2 sin(pi r/q) = q), which they do not imply.  The detail shows
+    the float residual of the identity's log form for display only."""
+    tors = {(q, r): lens_torsion(q, r) for q in (4, 6) for r in range(1, q)}
+    t41, t61, t63 = tors[4, 1], tors[6, 1], tors[6, 3]
     ok = ([t.exact.as_integer() for t in (t41, t61, t63)] == [2, 1, 4]
-          and t41.exact * t41.exact == t61.exact * t61.exact * t63.exact)
+          and t41.exact * t41.exact == t61.exact * t61.exact * t63.exact
+          and all(math.prod(tors[q, r].exact for r in range(1, q)) == q * q
+                  for q in (4, 6)))
     lhs, rhs = t41.log_value, t61.log_value + t63.log_value / 2
     return [CheckResult("torsion:anchors", ok, f"log residual {abs(lhs - rhs):.2e}")]
 

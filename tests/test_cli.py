@@ -536,3 +536,27 @@ def test_cli_runs_without_numpy(capsys):
 def test_verify_oracle_passes(capsys):
     code, out, _ = run(capsys, "verify", "oracle")
     assert code == 0 and "FAIL" not in out and "PASS" in out
+
+
+@pytest.mark.parametrize("group, twist, level", [("2O", "3'", 4), ("Z6", 5, 8)])
+def test_a_series_off_by_one_fails_the_oracle_naming_both(capsys, monkeypatch,
+                                                          group, twist, level):
+    # the oracle item compares the GF(p) count with the series every other
+    # verdict reads, so one wrong series entry fails it, naming both values
+    real = theorems.degeneracy_series
+
+    def series(G, tw, n_max):
+        s = real(G, tw, n_max)
+        if (G.name, tw) != (group, twist):
+            return s
+        entries = list(s.entries)
+        entries[level] += 1
+        return type(s)(s.twist, tuple(entries))
+
+    monkeypatch.setattr(theorems, "degeneracy_series", series)
+    right = real(cli.resolve_group(group), twist, level)[level]
+    code, out, _ = run(capsys, "verify", "oracle")
+    assert code == 1
+    assert (f"FAIL  {group}:oracle  [twist {twist} level {level}: "
+            f"oracle {right} != {right + 1}]") in out
+    assert out.count("FAIL") == 1

@@ -1,17 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from spaceforms import characters, groups, spectra
 from spaceforms.characters import character_table
-from spaceforms.exactnum import CycloNum
+from spaceforms.exactnum import PRIME, CycloNum, reduce_mod_p, root_of_unity
 from spaceforms.groups import ContractViolation
 from spaceforms.mckay import mckay_adjacency
-from spaceforms.spectra import (DegeneracySeries, SpectralWeight, TwistError,
-                                TwistSpec, degeneracy, degeneracy_series,
-                                lens_torsion, oracle_projector_degeneracy,
-                                spectral_sum)
+from spaceforms.spectra import (ORACLE_MAX_LEVEL, DegeneracySeries,
+                                SpectralWeight, TwistError, TwistSpec,
+                                degeneracy, degeneracy_series, lens_torsion,
+                                oracle_projector_degeneracy, spectral_sum)
 
 
 def lens_count(q, r, n):
@@ -121,6 +122,45 @@ def test_heat_trace_limit_and_bound():
                  - small.value)
     assert small.truncation_bound is not None
     assert true_tail <= small.truncation_bound
+
+
+def per_level_sum(series, weight):
+    """The heat or counting sum level by level, over every level."""
+    if weight.kind == "heat":
+        return sum(d * math.exp(-weight.param * n * (n + 2))
+                   for n, d in enumerate(series.entries))
+    return float(sum(d for n, d in enumerate(series.entries)
+                     if n * (n + 2) <= weight.param))
+
+
+def test_heat_and_counting_sums_equal_the_per_level_formula_bit_for_bit(all_groups):
+    # the heat sum stops at the first weight that is exactly 0.0 and the
+    # counting sum takes the levels below isqrt(floor(lambda) + 1); over
+    # the deep-spectrum ranges of t and lambda, the golden heat commands,
+    # a t whose weights pass through subnormals (2s first counts at level
+    # 1, weight exp(-720) at t = 240) and the edges of the cutoff, both
+    # give the per-level float exactly
+    rng = random.Random(40)
+    cases = []
+    for G in all_groups:
+        cases.append((degeneracy_series(G, "2s'", 20), [0.5], []))
+        cases.append((degeneracy_series(G, "2s", 20), [50.0, 240.0, 745.0], []))
+        for target, twist in ((G, "2s"), (G, "1"), (G.cyclic_subgroup("T"), 1)):
+            n_max = rng.randint(200, 2000)
+            cases.append((degeneracy_series(target, twist, n_max),
+                          [0.001, 0.05] + [rng.uniform(0.001, 0.05) for _ in range(8)],
+                          [float(rng.randint(n_max * n_max // 4, n_max * n_max))
+                           for _ in range(8)]))
+    for series, ts, lams in cases:
+        n_max = series.n_max
+        edges = [n * (n + 2) for n in (0, 1, 7, n_max - 1, n_max, n_max + 1)]
+        lams = lams + edges + [lam - 1e-9 for lam in edges] + [
+            -0.5, -1.0, -2.0, math.nan, math.inf, -math.inf, 1e300]
+        weights = ([SpectralWeight.heat(t) for t in ts]
+                   + [SpectralWeight.counting(lam) for lam in lams])
+        for w in weights:
+            got = spectral_sum(series, w).value
+            assert got.hex() == per_level_sum(series, w).hex(), (series.twist, w)
 
 
 def test_zeta_tail_bound_covers_a_4000_level_sum(g2i):
@@ -350,13 +390,12 @@ def test_series_rejects_negative_n_max(g2t):
         degeneracy_series(g2t, "1", -1)
 
 
-def test_series_checks_the_period_step(g2t, monkeypatch):
-    # half the trivial character is no character: its step
-    # Delta_0 = (12/24)(1/2 + 1/2) = 1/2 is not an integer
-    half = character_table(g2t)["1"].char * Fraction(1, 2)
-    monkeypatch.setattr(TwistSpec, "character", lambda self: half)
-    with pytest.raises(ContractViolation, match="period step"):
-        degeneracy_series(g2t, "1", 3)
+def test_series_checks_the_period_step(g2t):
+    # half the trivial character is no character: the steps are read from
+    # the integer table values at E and -E, and Delta_0 = (12/24)(1/2 + 1/2)
+    # = 1/2 is not an integer
+    with pytest.raises(ContractViolation, match="period step Delta_0"):
+        degeneracy_series(g2t, {"1": Fraction(1, 2)}, 3)
 
 
 def test_series_checks_the_period_block(g2i):
@@ -379,6 +418,43 @@ def test_oracle_matrices_cached_per_group(g2t):
     assert sums[g2t.class_of[g2t.identity_index]] == tuple(int(r == c) for r in range(5)
                                                            for c in range(5))
     assert spectra._su2_powers(g2t) is spectra._su2_powers(g2t)
+
+
+def plain_class_sums(G, n):
+    """Per class, the sum of D^(n/2)(g) mod PRIME by the binomial theorem:
+    column c is (a11 + a21 t)^(n-c) (a12 + a22 t)^c, row r its t^r."""
+    i = reduce_mod_p(root_of_unity(4))
+    dim = n + 1
+    sums = [[0] * (dim * dim) for _ in range(G.num_classes)]
+    for e, c in zip(G.elements, G.class_of):
+        w, x, y, z = map(reduce_mod_p, (e.w, e.x, e.y, e.z))
+        a11, a21, a12, a22 = w + i * x, i * z - y, y + i * z, w - i * x
+        for col in range(dim):
+            for j in range(n - col + 1):
+                for k in range(col + 1):
+                    sums[c][(j + k) * dim + col] += (
+                        math.comb(n - col, j) * a11 ** (n - col - j) * a21 ** j
+                        * math.comb(col, k) * a12 ** (col - k) * a22 ** k)
+    return tuple(tuple(v % PRIME for v in s) for s in sums)
+
+
+def test_packed_class_sums_equal_the_plain_expansion(all_groups):
+    for G in all_groups + [groups.cyclic_group(q) for q in (2, 4, 6)]:
+        for n in range(ORACLE_MAX_LEVEL + 1):
+            assert spectra._class_sums(G, n) == plain_class_sums(G, n), (G.name, n)
+
+
+def test_a_packed_slot_holds_its_bound():
+    # an entry of a class sum is at most (n+1)|G|(p-1)^2; at that extreme,
+    # |G| times the square of all-(p-1) polynomials of degree n, every
+    # coefficient still unpacks exactly
+    n, top = ORACLE_MAX_LEVEL, [PRIME - 1] * (ORACLE_MAX_LEVEL + 1)
+    for order in (2, 4, 6, 24, 48, 120):
+        bits = spectra._slot_bits(order)
+        packed = order * spectra._pack(top, bits) ** 2
+        got = [packed >> (bits * r) & ((1 << bits) - 1) for r in range(2 * n + 1)]
+        assert got == [order * (min(r, 2 * n - r) + 1) * (PRIME - 1) ** 2
+                       for r in range(2 * n + 1)], order
 
 
 def test_oracle_refuses_a_twist_that_is_not_a_character(monkeypatch, g2i):

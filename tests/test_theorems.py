@@ -278,3 +278,20 @@ def test_torsion_anchors_gate_on_the_exact_identity(monkeypatch):
     assert check.passed and check.detail == "log residual 1.00e-09"
     check = patched("exact", lambda v: v + 1, (6, 3))
     assert not check.passed
+
+
+def test_torsion_gates_on_the_product_over_all_twists(monkeypatch, capsys):
+    # the anchors imply T(4,1)^2 = T(6,1)^2 T(6,3); prod_{r=1}^{q-1}
+    # T(q, r) = q^2 also reads T(6, 2), so a wrong T(6, 2) alone fails
+    real = theorems.lens_torsion
+
+    def torsion(q, r):
+        t = real(q, r)
+        return dataclasses.replace(t, exact=t.exact + 1) if (q, r) == (6, 2) else t
+
+    monkeypatch.setattr(theorems, "lens_torsion", torsion)
+    code = main(["verify", "torsion"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == ("FAIL  torsion:anchors  [log residual 0.00e+00]\n"
+                   "0/1 checks passed\n")

@@ -77,12 +77,12 @@ PINS = {
     },
     "spectrum 2I --irrep 2s --nmax 20": {
         "exit": 0,
-        "characters.character_table": 4,
+        "characters.character_table": 3,
         "characters.inner_product": 126,
         "characters.spin_character": 1,
         "cli.resolve_group": 1,
-        "exactnum.add": 215,
-        "exactnum.mul": 955,
+        "exactnum.add": 213,
+        "exactnum.mul": 951,
         "exactnum.trace": 1134,
         "groups.build_binary_polyhedral": 1,
         "spectra.degeneracy_series": 1,
@@ -90,14 +90,14 @@ PINS = {
     },
     "verify isospectral --nmax 60": {
         "exit": 0,
-        "characters.character_table": 210,
-        "characters.cyclic_character": 240,
+        "characters.character_table": 150,
+        "characters.cyclic_character": 180,
         "characters.inner_product": 1485,
         "characters.restrict": 484,
         "characters.spin_character": 15,
         "cli.resolve_group": 3,
-        "exactnum.add": 2027,
-        "exactnum.mul": 2936,
+        "exactnum.add": 819,
+        "exactnum.mul": 2099,
         "exactnum.trace": 10905,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
@@ -118,6 +118,24 @@ PINS = {
         "induction.induce_character": 60,
         "induction.induced_matrices": 60,
         "induction.verify_monomial_rep": 60,
+    },
+    # the oracle item compares 324 GF(p) counts with one nine-level series
+    # per twist: a restored per-level direct route shows as spectra.degeneracy
+    "verify oracle --nmax 60": {
+        "exit": 0,
+        "characters.character_table": 255,
+        "characters.cyclic_character": 120,
+        "characters.inner_product": 337,
+        "characters.spin_character": 6,
+        "cli.resolve_group": 6,
+        "exactnum.add": 592,
+        "exactnum.mul": 2258,
+        "exactnum.trace": 2645,
+        "groups.build_binary_polyhedral": 3,
+        "groups.cyclic_group": 3,
+        "spectra.degeneracy_series": 36,
+        "spectra.levels": 324,
+        "spectra.oracle_projector_degeneracy": 324,
     },
 }
 
