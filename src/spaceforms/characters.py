@@ -19,7 +19,8 @@ The names come from the McKay graph (McKay 1980), the adjacency A_ij =
 each node is named by its distance from the trivial character and its
 dimension, so 2s is Res chi_1/2 by definition, and the walk must reach
 every node (chi_1/2 is faithful).  The classical induction tables are
-not read: the `table` verdicts check the names against them.
+not read: the `table` verdicts check the names against them.  Every
+table, cyclic ones too, keeps A, read mod p with no inner product.
 
 Inner products of characters are rational, and are computed without a
 field product.  A class function f is Galois-stable when f(g^s) =
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (CONDUCTOR, DEGREE, PRIME, CycloNum, ONE, ZERO,
-                       _primitive_root_of_unity, format_value, root_of_unity,
-                       trace_form)
+                       _primitive_root_of_unity, format_value, reduce_mod_p,
+                       root_of_unity, trace_form)
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle, _least_rotation)
 
@@ -281,13 +282,17 @@ class Irrep:
 
 
 class CharacterTable:
-    """The complete list of irreducible characters with canonical labels."""
+    """The complete list of irreducible characters with canonical labels,
+    and their McKay adjacency in table order, kept once the rows are
+    proven: the A that named the irreps, or else read off the rows."""
 
-    def __init__(self, group: FiniteGroup, irreps):
+    def __init__(self, group: FiniteGroup, irreps, adjacency: tuple | None = None):
         self.group = group
         self.irreps = tuple(irreps)
         self.by_name = {normalize_irrep_name(ir.name): ir for ir in self.irreps}
         self._verify_exact()
+        self.adjacency = adjacency or _mckay_adjacency(
+            group, [ir.char for ir in self.irreps])
 
     def __iter__(self):
         return iter(self.irreps)
@@ -558,6 +563,26 @@ NODE_NAMES = {
 }
 
 
+def _mckay_adjacency(G: FiniteGroup, chars) -> tuple:
+    """A[i][j] = <chi_j, chi_1/2 chi_i> over `chars`, read mod p = PRIME.
+
+    `reduce_mod_p` is a ring homomorphism on sums of roots of unity that
+    sends conj chi(g) to chi(g^-1), and |G| < p is a unit mod p, so A_ij =
+    |G|^-1 sum_c |c| chi_1/2(c) chi_i(c) chi_j(c^-1) mod p on the residues,
+    with chi_1/2(c) = tr c = 2w.  For irreducible characters chi_1/2 chi_i
+    has degree 2 chi_i(1), so 0 <= A_ij <= 2 chi_i(1) <= 12 < p and the
+    residue is A_ij exactly.  The exact row check of `CharacterTable`
+    proves the rows irreducible or refuses the table, and A leaves this
+    module only as the adjacency of a proven table."""
+    half = [2 * reduce_mod_p(G.elements[rep].w) for rep in G.class_reps]
+    weights = [size * h for size, h in zip(G.class_sizes, half)]
+    inverse_class = [G.class_of[G.inv[rep]] for rep in G.class_reps]
+    rows = [[reduce_mod_p(v) for v in chi.values] for chi in chars]
+    scale = pow(len(G), -1, PRIME)
+    return tuple(tuple(sum(w * a * b[c] for w, a, c in zip(weights, ri, inverse_class))
+                       * scale % PRIME for b in rows) for ri in rows)
+
+
 def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
     """Name each character by its place on the McKay graph.
 
@@ -575,8 +600,7 @@ def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
             f"{G.name}: T is not the rotation by the least angle, tr T = 2cos(pi/{n}), "
             "so the triple does not fit the classical names")
     k = len(chars)
-    chi_half = spin_character(G, 1)
-    A = [[inner_product_int(b, chi_half * a) for b in chars] for a in chars]
+    A = _mckay_adjacency(G, chars)
     dist = [None] * k
     queue = [next(i for i, c in enumerate(chars) if all(v == ONE for v in c.values))]
     dist[queue[0]] = 0
@@ -607,8 +631,8 @@ def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
-    """Derive (and cache) the full exact character table of G; for 2T, 2O
-    and 2I this also keeps the McKay adjacency on G in table order."""
+    """Derive (and cache) the full exact character table of G, with its
+    McKay adjacency in table order."""
     if G._char_table is not None:
         return G._char_table
     if G.num_classes == len(G):
@@ -619,19 +643,13 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             if "g" not in G.generators:
                 raise TableDerivationError(
                     f"abelian group {G.name} has no distinguished generator")
-            q = len(G)
-            irreps = []
-            for r in range(q):
-                chi = cyclic_character(G, r)
-                spin = (G.neg_identity_index is not None
-                        and chi.value_on_element(G.neg_identity_index) == -ONE)
-                label = CyclicLabel(r, spin)
-                irreps.append(Irrep(label, chi))
+            # omega^r(-E) = (-1)^r, -E = g^(q/2); the row check reads each flag
+            spin = G.neg_identity_index is not None
+            irreps = [Irrep(CyclicLabel(r, spin and r % 2 == 1), cyclic_character(G, r))
+                      for r in range(len(G))]
         table = CharacterTable(G, irreps)
     else:
-        irreps, adjacency = _mckay_labels(G, _dixon_characters(G))
-        table = CharacterTable(G, irreps)
-        G._mckay_adjacency = adjacency
+        table = CharacterTable(G, *_mckay_labels(G, _dixon_characters(G)))
     G._char_table = table
     return table
 

@@ -393,7 +393,6 @@ class FiniteGroup:
         g._oracle_su2 = None        # SU(2) linear-form powers mod p per element (spectra)
         g._oracle_class_sums = {}   # n -> class sums of D^(n/2) mod p (spectra)
         g._cyclic_subgroups = {}
-        g._mckay_adjacency = None       # McKay graph, table order (characters)
         g._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
         g._induced_twists = {}      # (gen, r mod q) -> decomposition
         g._induced_characters = {}  # (gen, r mod q) -> Ind omega^r

@@ -2,9 +2,11 @@
 
 The McKay graph has the irreducibles as nodes, adjacency from tensoring
 with the defining 2-dimensional representation, and marks equal to the
-dimensions; for the groups here it is the affine diagram A~_{q-1},
-E6~, E7~ or E8~, which is checked through degree sequences, arm lengths
-and the mark equation rather than generic graph isomorphism.
+dimensions.  The adjacency is the one the character table keeps, for a
+cyclic group as for 2T, 2O and 2I (`characters`); for the groups here it
+is the affine diagram A~_{q-1}, E6~, E7~ or E8~, which is checked through
+degree sequences, arm lengths and the mark equation rather than generic
+graph isomorphism.
 
 The compactified diagram is the dual, class-side picture: one circle of
 cyclic twists per distinguished generator, folded by the reflection
@@ -22,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .characters import character_table, spin_character
-from .exactnum import root_of_unity
+from .characters import character_table
 from .groups import SCHEMA, ContractViolation, FiniteGroup
 
 
@@ -95,38 +96,12 @@ def _classify_ade(G: FiniteGroup, adjacency) -> str:
     raise ContractViolation(f"McKay graph of {G.name} is not an affine ADE diagram")
 
 
-def mckay_adjacency(G: FiniteGroup) -> tuple:
-    """A[i][j] = <chi_j, chi_half * chi_i> over the irreducibles of G in
-    table order.
-
-    `character_table` derives A on 2T, 2O and 2I, where it names the
-    irreps.  A cyclic group's table is omega^0..omega^{q-1}, and it takes
-    no inner product: chi_half of the generator is zeta_q^a + zeta_q^-a
-    for an a read off by exact comparison, and omega^r chi_half =
-    omega^{r+a} + omega^{r-a}."""
-    character_table(G)
-    if G._mckay_adjacency is None:
-        q = len(G)
-        at_gen = spin_character(G, 1).value_on_class(min(1, q - 1))
-        a = next((a for a in range(q)
-                  if root_of_unity(q, a) + root_of_unity(q, -a) == at_gen), None)
-        if a is None:
-            raise ContractViolation(
-                f"chi_1/2 of the generator of {G.name} is not zeta^a + zeta^-a")
-        adjacency = [[0] * q for _ in range(q)]
-        for r in range(q):
-            adjacency[r][(r + a) % q] += 1
-            adjacency[r][(r - a) % q] += 1
-        G._mckay_adjacency = tuple(map(tuple, adjacency))
-    return G._mckay_adjacency
-
-
 def mckay_graph(G: FiniteGroup) -> McKayGraph:
-    """The adjacency of `mckay_adjacency`, verified symmetric and
-    classified by shape.  The mark equation is the `mckay` verdict's to
-    report (`McKayGraph.mark_equation_holds`)."""
+    """The table's McKay adjacency, verified symmetric and classified by
+    shape.  The mark equation is the `mckay` verdict's to report
+    (`McKayGraph.mark_equation_holds`)."""
     table = character_table(G)
-    adjacency = mckay_adjacency(G)
+    adjacency = table.adjacency
     k = len(table)
     if adjacency != tuple(zip(*adjacency)):
         raise ContractViolation("McKay adjacency is not symmetric")

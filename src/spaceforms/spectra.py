@@ -30,11 +30,11 @@ the characters omega^r of a cyclic group).  The columns come from the
 Clebsch-Gordan rule chi_{1/2} chi_{n/2} = chi_{(n+1)/2} + chi_{(n-1)/2}:
 the vector v_n of all irreducibles' multiplicities in Res chi_{n/2}
 obeys v_{n+1} = A v_n - v_{n-1} from v_0 = e_1, v_{-1} = 0, with A the
-McKay adjacency (McKay 1980; Kostant 1984).  A costs one set of exact
-inner products per group (none on a cyclic group), and every column
-entry after it is integer arithmetic, kept on the group and grown
-together as deep as asked; so are the steps, read from the twist's
-integer values at E and -E.  `degeneracy` keeps the direct per-level
+McKay adjacency (McKay 1980; Kostant 1984), which the character table
+keeps, read mod p off its values with no inner product.  Every column
+entry is integer arithmetic, kept on the group and grown together as
+deep as asked; so are the steps, read from the twist's integer values
+at E and -E.  `degeneracy` keeps the direct per-level
 inner product, which the tests compare with the series.
 
 An independent oracle counts m_n for levels up to ORACLE_MAX_LEVEL
@@ -62,7 +62,6 @@ from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product, nonnegative_int, spin_character)
 from .exactnum import ONE, PRIME, CycloNum, reduce_mod_p, root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
-from .mckay import mckay_adjacency
 
 
 class TwistError(ValueError):
@@ -128,9 +127,22 @@ class TwistSpec:
             return True
         return all(c >= 0 for _, c in self.combo) and any(c > 0 for _, c in self.combo)
 
+    def central_values(self) -> tuple:
+        """(chi(E), chi(-E)) from integers, chi(-E) = 0 when -E is not in
+        the group: the table rows' values, or 1 and (-1)^r for omega^r,
+        since -E = g^(q/2) in the class order `cyclic_character` reads."""
+        G = self.group
+        centre = [i for i in (G.identity_index, G.neg_identity_index) if i is not None]
+        if self.cyclic_twist is not None:
+            values = [1, (-1) ** self.cyclic_twist][:len(centre)]
+        else:
+            table = character_table(G)
+            values = [sum(c * table[name].char.value_on_element(i).as_integer()
+                          for name, c in self.combo if c) for i in centre]
+        return tuple(values + [0])[:2]
+
     def dimension(self) -> int:
-        chi = self.character()
-        return chi.value_on_element(self.group.identity_index).as_integer()
+        return self.central_values()[0]
 
     def describe(self) -> str:
         if self.cyclic_twist is not None:
@@ -167,7 +179,7 @@ def _column(G: FiniteGroup, irreducible, depth: int) -> tuple:
     if len(cols.get(irreducible, ())) < depth:
         keys = range(len(table)) if cyclic else [ir.name for ir in table]
         grown = [list(cols.get(key, ())) for key in keys]
-        A = mckay_adjacency(G)
+        A = table.adjacency
         for n in range(len(grown[0]), depth):
             if n == 0:
                 v = [int(all(x == ONE for x in ir.char.values)) for ir in table]
@@ -239,25 +251,17 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
     integer, every block entry and both steps Delta_0, Delta_1 must be
     non-negative integers, so every entry is a checked non-negative
     integer and equals `degeneracy(target, twist, n)`.  The steps read the
-    twist's values at E and -E, which are integers (Delta_p counts no -E
-    term when -E is not in the group, as in an odd cyclic group)."""
+    twist's integer values at E and -E (`TwistSpec.central_values`;
+    Delta_p counts no -E term when -E is not in the group, as in an odd
+    cyclic group)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     tw = _genuine_twist(target, twist)
     G = tw.group
     period = math.lcm(*G.orders)
-    centre = [i for i in (G.identity_index, G.neg_identity_index) if i is not None]
-    if tw.cyclic_twist is not None:
-        terms = [(tw.cyclic_twist, 1)]
-        # class j of a cyclic group is g^j, the order `cyclic_character`
-        # reads, so -E = g^(q/2) and omega^r(-E) = (-1)^r
-        values = [1, (-1) ** tw.cyclic_twist][:len(centre)]
-    else:
-        table = character_table(G)
-        terms = [(table[name].name, c) for name, c in tw.combo if c]
-        values = [sum(c * table[name].char.value_on_element(i).as_integer()
-                      for name, c in terms) for i in centre]
-    at_e, at_neg_e = (values + [0])[:2]
+    terms = ([(tw.cyclic_twist, 1)] if tw.cyclic_twist is not None
+             else [(name, c) for name, c in tw.combo if c])
+    at_e, at_neg_e = tw.central_values()
     step = []
     for p, sign in ((0, 1), (1, -1)):
         d = Fraction(period, len(G)) * (at_e + sign * at_neg_e)

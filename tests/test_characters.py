@@ -76,6 +76,24 @@ def test_column_orthogonality_recomputed(all_groups):
                     assert acc == ZERO, (G.name, ci, cj)
 
 
+def test_mckay_adjacency_is_the_inner_product_definition(all_groups):
+    # the table reads A off its residues mod 241; here A_ij = <chi_j,
+    # chi_1/2 chi_i> is recomputed by exact inner products on every group
+    # the program builds a table for: 2T, 2O, 2I, their cyclic subgroups
+    # <R>, <S>, <T> and <RST>, and Z1, Z2, Z4 and Z6
+    groups_ = [G for P in all_groups
+               for G in [P] + [P.cyclic_subgroup(gen).group
+                               for gen in ("R", "S", "T", "RST")]]
+    groups_ += [groups.cyclic_group(q) for q in (1, 2, 4, 6)]
+    assert len(groups_) == 19
+    for G in groups_:
+        table = character_table(G)
+        half = spin_character(G, 1)
+        want = tuple(tuple(inner_product_int(b.char, half * a.char) for b in table)
+                     for a in table)
+        assert table.adjacency == want, G.name
+
+
 def test_one_corrupted_table_value_fails_the_row_check(all_groups, g2t):
     # rows orthonormal and the table square is all the check needs: a
     # single wrong value off E and -E breaks the rows (its column cannot be

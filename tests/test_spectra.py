@@ -8,7 +8,6 @@ from spaceforms import characters, groups, spectra
 from spaceforms.characters import character_table
 from spaceforms.exactnum import PRIME, CycloNum, reduce_mod_p, root_of_unity
 from spaceforms.groups import ContractViolation
-from spaceforms.mckay import mckay_adjacency
 from spaceforms.spectra import (ORACLE_MAX_LEVEL, DegeneracySeries,
                                 SpectralWeight, TwistError, TwistSpec,
                                 degeneracy, degeneracy_series, lens_torsion,
@@ -180,6 +179,24 @@ def test_zeta_tail_bound_covers_a_4000_level_sum(g2i):
             assert math.isfinite(spectral_sum(short, SpectralWeight.zeta(s)).truncation_bound)
 
 
+def test_tail_bounds_read_integers_only(g2i, monkeypatch):
+    # the heat and zeta tail bounds read dim rho from the twist's integer
+    # values at E (`TwistSpec.central_values`): with the twist character
+    # and CycloNum products and sums refused they stay bit for bit the same
+    series = [degeneracy_series(groups.cyclic_group(10), 3, 40),
+              degeneracy_series(g2i, {"2s": 1, "4s": 2}, 40)]
+    weights = [SpectralWeight.heat(0.05), SpectralWeight.zeta(2.5)]
+    want = [spectral_sum(s, w) for s in series for w in weights]
+    assert [tw.twist.dimension() for tw in series] == [1, 10]
+
+    def refused(*args):
+        raise AssertionError("the tail bounds take a field operation")
+    monkeypatch.setattr(spectra, "cyclic_character", refused)
+    monkeypatch.setattr(CycloNum, "__mul__", refused)
+    monkeypatch.setattr(CycloNum, "__add__", refused)
+    assert [spectral_sum(s, w) for s in series for w in weights] == want
+
+
 def test_zeta_threshold():
     Z1 = groups.cyclic_group(1)
     s = degeneracy_series(Z1, 0, 10)
@@ -295,9 +312,10 @@ def test_closed_form_series_matches_direct_path(all_groups):
 
 
 def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
-    # the character table pays the k^2 exact inner products of the McKay
-    # adjacency (and the k(k+1)/2 of row orthogonality); every series, of
-    # any irreducible and to any depth, is integer arithmetic only
+    # the character table pays the k(k+1)/2 exact inner products of row
+    # orthogonality, and reads the McKay adjacency mod 241 with none;
+    # every series, of any irreducible and to any depth, is integer
+    # arithmetic only
     G = fresh_copy(g2i)
     k = G.num_classes
     calls = []
@@ -310,7 +328,7 @@ def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
     monkeypatch.setattr(characters, "inner_product", counted)
     monkeypatch.setattr(spectra, "inner_product", counted)
     character_table(G)
-    assert len(calls) == k * k + k * (k + 1) // 2
+    assert len(calls) == k * (k + 1) // 2
     calls.clear()
     first = degeneracy_series(G, {"2s": 1, "4s": 1}, 60)
     again = [degeneracy_series(G, "2s", 60),
@@ -344,7 +362,7 @@ def test_columns_read_the_affine_dynkin_diagram(all_groups):
                  for pair in zip(path.split("-"), path.split("-")[1:])}
         want = tuple(tuple(int(frozenset((a, b)) in edges) for b in names)
                      for a in names)
-        assert mckay_adjacency(G) == want, G.name
+        assert character_table(G).adjacency == want, G.name
 
 
 def test_recurrence_columns_equal_the_direct_inner_product(all_groups):

@@ -74,6 +74,28 @@ def test_reference_matrix_comparison_taxonomy(all_groups):
             assert comp.solution.round_trip_is_identity()
 
 
+def test_a_false_inverse_fails_the_round_trip_naming_the_entry(monkeypatch, capsys,
+                                                              g2t):
+    # the solver returns M unjudged; with M[2s][last] one too large, (M A)
+    # first differs from I in row 2s at the first irrep that the last
+    # equation counts, and the verdict says so and exits 1
+    sol = solve_irrep_quantities(g2t, "spinor", reference_system(g2t, "spinor")[1])
+    names, last = sol.row_labels, sol.decomposition[-1]
+    j = next(j for j, m in enumerate(last) if m)
+    rref = theorems.rref
+
+    def off_by_one(rows, p):
+        out, pivots = rref(rows, p)
+        out[0][-1] += 1
+        return out, pivots
+    monkeypatch.setattr(theorems, "rref", off_by_one)
+    code = main(["verify", "matrices"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert (f"FAIL  2T:matrix_roundtrip:spinor  [(M A)[{names[0]}, {names[j]}] = "
+            f"{int(j == 0) + last[j]}, not {int(j == 0)}]") in out
+
+
 def test_tetrahedral_spinor_scale_factor(g2t):
     comp = compare_reference_matrices(g2t, "spinor")
     scales = {r.name: r.scale for r in comp.rows}

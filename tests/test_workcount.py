@@ -38,25 +38,23 @@ PINS = {
     "group 2I chartab": {
         "exit": 0,
         "characters.character_table": 1,
-        "characters.inner_product": 126,
-        "characters.spin_character": 1,
+        "characters.inner_product": 45,
         "cli.resolve_group": 1,
         "exactnum.add": 213,
-        "exactnum.mul": 951,
-        "exactnum.trace": 1134,
+        "exactnum.mul": 213,
+        "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
     },
     "induce 2I": {
         "exit": 0,
         "characters.character_table": 22,
         "characters.cyclic_character": 44,
-        "characters.inner_product": 522,
+        "characters.inner_product": 441,
         "characters.restrict": 198,
-        "characters.spin_character": 1,
         "cli.resolve_group": 1,
         "exactnum.add": 369,
-        "exactnum.mul": 951,
-        "exactnum.trace": 4320,
+        "exactnum.mul": 213,
+        "exactnum.trace": 3591,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
         "induction.induce_twist": 42,
@@ -65,40 +63,51 @@ PINS = {
     },
     "mckay 2I": {
         "exit": 0,
-        "characters.character_table": 2,
-        "characters.inner_product": 126,
-        "characters.spin_character": 1,
+        "characters.character_table": 1,
+        "characters.inner_product": 45,
         "cli.resolve_group": 1,
         "exactnum.add": 213,
-        "exactnum.mul": 951,
-        "exactnum.trace": 1134,
+        "exactnum.mul": 213,
+        "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
+        "mckay.mckay_graph": 1,
+    },
+    # a cyclic group reads its McKay adjacency mod 241 like 2T, 2O and 2I:
+    # no spin character, and inner products only for the table's rows
+    "mckay Z6": {
+        "exit": 0,
+        "characters.character_table": 1,
+        "characters.cyclic_character": 6,
+        "characters.inner_product": 21,
+        "cli.resolve_group": 1,
+        "exactnum.add": 77,
+        "exactnum.mul": 101,
+        "exactnum.trace": 126,
+        "groups.cyclic_group": 1,
         "mckay.mckay_graph": 1,
     },
     "spectrum 2I --irrep 2s --nmax 20": {
         "exit": 0,
-        "characters.character_table": 3,
-        "characters.inner_product": 126,
-        "characters.spin_character": 1,
+        "characters.character_table": 2,
+        "characters.inner_product": 45,
         "cli.resolve_group": 1,
         "exactnum.add": 213,
-        "exactnum.mul": 951,
-        "exactnum.trace": 1134,
+        "exactnum.mul": 213,
+        "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
         "spectra.degeneracy_series": 1,
         "spectra.levels": 21,
     },
     "verify isospectral --nmax 60": {
         "exit": 0,
-        "characters.character_table": 150,
+        "characters.character_table": 135,
         "characters.cyclic_character": 180,
-        "characters.inner_product": 1485,
+        "characters.inner_product": 1291,
         "characters.restrict": 484,
-        "characters.spin_character": 15,
         "cli.resolve_group": 3,
-        "exactnum.add": 819,
-        "exactnum.mul": 2099,
-        "exactnum.trace": 10905,
+        "exactnum.add": 795,
+        "exactnum.mul": 431,
+        "exactnum.trace": 9321,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
         "induction.induce_twist": 60,
@@ -123,14 +132,13 @@ PINS = {
     # per twist: a restored per-level direct route shows as spectra.degeneracy
     "verify oracle --nmax 60": {
         "exit": 0,
-        "characters.character_table": 255,
+        "characters.character_table": 249,
         "characters.cyclic_character": 120,
-        "characters.inner_product": 337,
-        "characters.spin_character": 6,
+        "characters.inner_product": 143,
         "cli.resolve_group": 6,
-        "exactnum.add": 592,
-        "exactnum.mul": 2258,
-        "exactnum.trace": 2645,
+        "exactnum.add": 586,
+        "exactnum.mul": 638,
+        "exactnum.trace": 1061,
         "groups.build_binary_polyhedral": 3,
         "groups.cyclic_group": 3,
         "spectra.degeneracy_series": 36,
