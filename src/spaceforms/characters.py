@@ -283,16 +283,15 @@ class Irrep:
 
 class CharacterTable:
     """The complete list of irreducible characters with canonical labels,
-    and their McKay adjacency in table order, kept once the rows are
-    proven: the A that named the irreps, or else read off the rows."""
+    and their McKay adjacency in table order, read off the rows once they
+    are proven."""
 
-    def __init__(self, group: FiniteGroup, irreps, adjacency: tuple | None = None):
+    def __init__(self, group: FiniteGroup, irreps):
         self.group = group
         self.irreps = tuple(irreps)
         self.by_name = {normalize_irrep_name(ir.name): ir for ir in self.irreps}
         self._verify_exact()
-        self.adjacency = adjacency or _mckay_adjacency(
-            group, [ir.char for ir in self.irreps])
+        self.adjacency = _mckay_adjacency(group, [ir.char for ir in self.irreps])
 
     def __iter__(self):
         return iter(self.irreps)
@@ -589,7 +588,7 @@ def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
     A[i][j] = <chi_j, chi_1/2 chi_i>; the walk from the trivial character
     must reach every node (chi_1/2 is faithful exactly when the graph is
     connected), and NODE_NAMES names each node by its distance and
-    dimension.  Returns the irreps in label order and A in that order."""
+    dimension.  Returns the irreps in label order."""
     if not G.presentation:
         raise TableDerivationError(
             f"{G.name} has no presentation triple; adopt R/S/T generators first")
@@ -625,9 +624,7 @@ def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
             f"{G.name}: the McKay graph does not fit the node names: {names}")
     labels = [IrrepLabel(int(name.rstrip("s'")), "s" in name, name.count("'"))
               for name in names]
-    order = sorted(range(k), key=labels.__getitem__)
-    return ([Irrep(labels[i], chars[i]) for i in order],
-            tuple(tuple(A[i][j] for j in order) for i in order))
+    return sorted(map(Irrep, labels, chars), key=lambda ir: ir.label)
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
@@ -649,7 +646,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
                       for r in range(len(G))]
         table = CharacterTable(G, irreps)
     else:
-        table = CharacterTable(G, *_mckay_labels(G, _dixon_characters(G)))
+        table = CharacterTable(G, _mckay_labels(G, _dixon_characters(G)))
     G._char_table = table
     return table
 
