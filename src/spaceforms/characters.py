@@ -10,9 +10,11 @@ of chi; and the eigenvalue multiplicities of rho(g), integers below p
 recovered by a discrete Fourier transform over the power map, give each
 value exactly as a sum of roots of unity.  Nothing is trusted until the row
 orthogonality relations are verified in exact arithmetic; the column
-relations follow from them, since the table is square.  `rref`, the
-row reduction over GF(p) or Q, also serves the exact solver in
-`theorems` and the projector oracle in `spectra`.
+relations follow from them, since the table is square.  The rows
+omega^r of a cyclic group whose elements are the powers g^j in class
+order are orthonormal by a geometric sum and take no inner product.
+`rref`, the row reduction over GF(p) or Q, also serves the exact solver
+in `theorems`.
 
 The names come from the McKay graph (McKay 1980), the adjacency A_ij =
 <chi_j, chi_1/2 chi_i> of tensoring with the defining representation:
@@ -20,7 +22,9 @@ each node is named by its distance from the trivial character and its
 dimension, so 2s is Res chi_1/2 by definition, and the walk must reach
 every node (chi_1/2 is faithful).  The classical induction tables are
 not read: the `table` verdicts check the names against them.  Every
-table, cyclic ones too, keeps A, read mod p with no inner product.
+table, cyclic ones too, keeps its rows' residues mod p and A, read off
+them with no inner product, and on first use per class the eigenvalue
+counts that Frobenius reciprocity in `induction` reads.
 
 Inner products of characters are rational, and are computed without a
 field product.  A class function f is Galois-stable when f(g^s) =
@@ -48,7 +52,7 @@ from .exactnum import (CONDUCTOR, DEGREE, PRIME, CycloNum, ONE, ZERO,
                        _primitive_root_of_unity, format_value, reduce_mod_p,
                        root_of_unity, trace_form)
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
-                     SubgroupHandle, _least_rotation)
+                     SubgroupHandle, _in_power_order, _least_rotation)
 
 
 class TableDerivationError(Exception):
@@ -282,16 +286,22 @@ class Irrep:
 
 
 class CharacterTable:
-    """The complete list of irreducible characters with canonical labels,
-    and their McKay adjacency in table order, read off the rows once they
-    are proven."""
+    """The complete list of irreducible characters with canonical labels;
+    once the rows are proven, their residues mod PRIME (`reduce_mod_p`) and
+    their McKay adjacency, both in table order.
 
-    def __init__(self, group: FiniteGroup, irreps):
+    `omega_rows` says that row r is omega^r, j -> zeta_q^(rj) on class j,
+    as `character_table` builds the rows of a cyclic group."""
+
+    def __init__(self, group: FiniteGroup, irreps, omega_rows: bool = False):
         self.group = group
         self.irreps = tuple(irreps)
         self.by_name = {normalize_irrep_name(ir.name): ir for ir in self.irreps}
-        self._verify_exact()
-        self.adjacency = _mckay_adjacency(group, [ir.char for ir in self.irreps])
+        self._verify_exact(omega_rows)
+        self.residues = tuple(tuple(map(reduce_mod_p, ir.char.values))
+                              for ir in self.irreps)
+        self.adjacency = _mckay_adjacency(group, self.residues)
+        self._eigenvalue_counts = {}
 
     def __iter__(self):
         return iter(self.irreps)
@@ -306,14 +316,36 @@ class CharacterTable:
             raise KeyError(f"unknown irrep {name!r}; valid names: {valid}")
         return self.by_name[key]
 
-    def _verify_exact(self):
+    def eigenvalue_counts(self, ci: int) -> tuple:
+        """Per irrep in table order, alpha_0..alpha_{o-1} on class ci, o the
+        order of its elements g: rho(g) has the eigenvalue zeta_o^e alpha_e
+        times, so chi(g^l) = sum_e alpha_e zeta_o^(el) (Dixon, Math. Comp.
+        24, 1970).  alpha_e is the multiplicity of that eigenvalue's
+        character in Res_<g> chi.  Computed on first use for each class from
+        the proven residues, by the discrete Fourier transform that
+        `_dixon_characters` runs: alpha_e is an integer in 0..chi(1) < PRIME,
+        so its residue is alpha_e exactly, the same proof as `adjacency`."""
+        if ci not in self._eigenvalue_counts:
+            cls, zeta = _power_walk(self.group, self.group.class_reps[ci],
+                                    _primitive_root_of_unity(PRIME), PRIME)
+            self._eigenvalue_counts[ci] = tuple(
+                tuple(_fourier_counts(row, cls, zeta, PRIME)) for row in self.residues)
+        return self._eigenvalue_counts[ci]
+
+    def _verify_exact(self, omega_rows: bool):
         """The table is square, its dimensions, spinor flags and sum of
         squared dimensions are right, and its rows are orthonormal.
 
         Column orthogonality is not checked again: it follows (Serre,
         Linear Representations of Finite Groups, 2.5).  With X the square
         table and D = diag(|c|/|G|), the rows give X D X* = I, so X is
-        invertible and X* X = D^-1."""
+        invertible and X* X = D^-1.
+
+        Rows omega^r of a cyclic group in power order (`_in_power_order`:
+        element j is g^j and lies in class j, and g^q = E) take no inner
+        product.  omega^r is then a homomorphism, and <omega^r, omega^s> =
+        q^-1 sum_j zeta_q^((s-r)j) = delta_rs, a geometric sum.  Any other
+        table is checked row by row."""
         G = self.group
         k = G.num_classes
         if len(self.irreps) != k:
@@ -331,6 +363,8 @@ class CharacterTable:
                     raise TableDerivationError("spinor flag mismatch")
         if dimsq != len(G):
             raise TableDerivationError("sum of squared dimensions != |G|")
+        if omega_rows and _in_power_order(G):
+            return
         for a in range(k):
             for b in range(a, k):
                 got = inner_product(self.irreps[a].char, self.irreps[b].char)
@@ -477,6 +511,25 @@ def _split(A: list[list[int]], space, p: int) -> list:
     return parts
 
 
+def _power_walk(G: FiniteGroup, rep: int, z: int, p: int) -> tuple:
+    """For g = rep of order o: the classes of g^0..g^(o-1), and zeta_o^e
+    mod p for e < o, where z is the image of zeta_120 mod p."""
+    order, cls, cur = G.orders[rep], [], G.identity_index
+    for _ in range(order):
+        cls.append(G.class_of[cur])
+        cur = G.mult[cur][rep]
+    return cls, [pow(z, CONDUCTOR // order * e, p) for e in range(order)]
+
+
+def _fourier_counts(residues, cls, zeta, p: int) -> list[int]:
+    """alpha_e = o^-1 sum_l chi(g^l) zeta_o^(-el) mod p for e < o, from the
+    residues of chi per class and a `_power_walk` of g."""
+    order = len(cls)
+    inv_order = pow(order, -1, p)
+    return [inv_order * sum(residues[c] * zeta[-e * l % order]
+                            for l, c in enumerate(cls)) % p for e in range(order)]
+
+
 def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
     """Exact irreducible characters by Dixon's modular method with
     Schneider's splitting.  Verification happens later in CharacterTable.
@@ -506,14 +559,7 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
     inverse_class = [G.class_of[G.inv[rep]] for rep in G.class_reps]
     inv_size = [pow(size, -1, p) for size in G.class_sizes]
     z = _primitive_root_of_unity(p)
-    powers = []      # per class: order o, classes of g^0..g^(o-1), zeta_o^e mod p
-    for rep in G.class_reps:
-        order, cls, cur = G.orders[rep], [], G.identity_index
-        for _ in range(order):
-            cls.append(G.class_of[cur])
-            cur = G.mult[cur][rep]
-        powers.append((order, cls,
-                       [pow(z, CONDUCTOR // order * e, p) for e in range(order)]))
+    powers = [_power_walk(G, rep, z, p) for rep in G.class_reps]
 
     chars = []
     for (u,), _ in spaces:
@@ -529,17 +575,14 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
             raise TableDerivationError(f"chi(1)^2 = {dimsq} mod {p} is not a square")
         residues = [dim * w * s % p for w, s in zip(omega, inv_size)]
         values = []
-        for order, cls, zeta in powers:
-            inv_order = pow(order, -1, p)
+        for cls, zeta in powers:
             value = ZERO
-            for e in range(order):
-                m = inv_order * sum(residues[c] * zeta[-e * l % order]
-                                    for l, c in enumerate(cls)) % p
+            for e, m in enumerate(_fourier_counts(residues, cls, zeta, p)):
                 if m > dim:
                     raise TableDerivationError(
                         f"eigenvalue multiplicity {m} mod {p} exceeds chi(1) = {dim}")
                 if m:
-                    value = value + root_of_unity(order, e) * m
+                    value = value + root_of_unity(len(cls), e) * m
             values.append(value)
         chi = ClassFunction(G, values)
         galois_stable(chi)
@@ -562,8 +605,9 @@ NODE_NAMES = {
 }
 
 
-def _mckay_adjacency(G: FiniteGroup, chars) -> tuple:
-    """A[i][j] = <chi_j, chi_1/2 chi_i> over `chars`, read mod p = PRIME.
+def _mckay_adjacency(G: FiniteGroup, rows) -> tuple:
+    """A[i][j] = <chi_j, chi_1/2 chi_i> over characters given by their
+    residues per class, `rows`, read mod p = PRIME.
 
     `reduce_mod_p` is a ring homomorphism on sums of roots of unity that
     sends conj chi(g) to chi(g^-1), and |G| < p is a unit mod p, so A_ij =
@@ -576,7 +620,6 @@ def _mckay_adjacency(G: FiniteGroup, chars) -> tuple:
     half = [2 * reduce_mod_p(G.elements[rep].w) for rep in G.class_reps]
     weights = [size * h for size, h in zip(G.class_sizes, half)]
     inverse_class = [G.class_of[G.inv[rep]] for rep in G.class_reps]
-    rows = [[reduce_mod_p(v) for v in chi.values] for chi in chars]
     scale = pow(len(G), -1, PRIME)
     return tuple(tuple(sum(w * a * b[c] for w, a, c in zip(weights, ri, inverse_class))
                        * scale % PRIME for b in rows) for ri in rows)
@@ -599,7 +642,7 @@ def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
             f"{G.name}: T is not the rotation by the least angle, tr T = 2cos(pi/{n}), "
             "so the triple does not fit the classical names")
     k = len(chars)
-    A = _mckay_adjacency(G, chars)
+    A = _mckay_adjacency(G, [tuple(map(reduce_mod_p, c.values)) for c in chars])
     dist = [None] * k
     queue = [next(i for i, c in enumerate(chars) if all(v == ONE for v in c.values))]
     dist[queue[0]] = 0
@@ -644,7 +687,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             spin = G.neg_identity_index is not None
             irreps = [Irrep(CyclicLabel(r, spin and r % 2 == 1), cyclic_character(G, r))
                       for r in range(len(G))]
-        table = CharacterTable(G, irreps)
+        table = CharacterTable(G, irreps, omega_rows=True)
     else:
         table = CharacterTable(G, _mckay_labels(G, _dixon_characters(G)))
     G._char_table = table

@@ -2,10 +2,13 @@
 explicit induced representation matrices.
 
 Induced decompositions are always computed twice: once through
-Frobenius reciprocity (subduction inner products on the subgroup) and
-once through the induced-character formula on the big group.  The two
-routes must agree exactly; each validates the other and the class
-transport maps.
+Frobenius reciprocity and once through the induced-character formula on
+the big group.  For a twist omega^r of a cyclic subgroup <g>, reciprocity
+is an eigenvalue count: the multiplicity of zeta_q^r among the
+eigenvalues of rho(g), which the character table reads mod p off its
+proven residues.  The formula route takes exact inner products with the
+induced character.  The two routes must agree exactly; each validates
+the other and the class transport maps.
 
 What does not depend on the induced character is paid once: the
 formula sums the character over H once, class by class, and the
@@ -23,7 +26,8 @@ from fractions import Fraction
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product_int, regular_character, restrict)
 from .exactnum import ONE, ZERO
-from .groups import ContractViolation, FiniteGroup, SubgroupHandle, left_cosets
+from .groups import (ContractViolation, FiniteGroup, SubgroupHandle, _in_power_order,
+                     left_cosets)
 
 
 def _coerce_subgroup_character(H: SubgroupHandle, chi) -> ClassFunction:
@@ -107,6 +111,14 @@ def induce_twist(G: FiniteGroup, gen: str, r: int) -> InducedDecomposition:
     """Decompose Ind(omega^r) from the cyclic subgroup <gen> of G, via
     reciprocity cross-checked against the induced-character formula.
 
+    Reciprocity gives <chi, Ind omega^r>_G = <Res chi, omega^r>_<g>, the
+    multiplicity of the eigenvalue zeta_q^r of rho(g) for g = gen: the
+    eigenvalue count alpha_r of chi on g's class, which the table reads
+    off its proven residues (`CharacterTable.eigenvalue_counts`).  The
+    formula route takes exact inner products with the induced character,
+    which measures omega^r on the elements of H as `cyclic_character`
+    does, so the two routes also check that H's element j is g^j.
+
     Kept on G per (gen, r mod q): only the first call for a key runs
     the two routes and the dimension bookkeeping."""
     H = G.cyclic_subgroup(gen)
@@ -115,11 +127,10 @@ def induce_twist(G: FiniteGroup, gen: str, r: int) -> InducedDecomposition:
     if (gen, r) in G._induced_twists:
         return G._induced_twists[gen, r]
     table = character_table(G)
-    chi = cyclic_character(H, r)
     induced = _twist_character(G, gen, r)
     via_formula = {ir.name: inner_product_int(ir.char, induced) for ir in table}
-    via_reciprocity = {ir.name: inner_product_int(restrict(ir.char, H), chi)
-                       for ir in table}
+    counts = table.eigenvalue_counts(G.class_of[H.generator_index])
+    via_reciprocity = {ir.name: alpha[r] for ir, alpha in zip(table, counts)}
     if via_formula != via_reciprocity:
         del G._induced_characters[gen, r]      # a failed key keeps nothing
         raise ContractViolation(
@@ -337,17 +348,6 @@ class _CyclicTwistRep(MonomialRep):
         the powers of g replaces the |H|^2 products."""
         if not _in_power_order(self.subgroup.group):
             raise ValueError("inducing map is not a homomorphism on H")
-
-
-def _in_power_order(sub: FiniteGroup) -> bool:
-    """Whether element j of the cyclic group `sub` is g^j and lies in
-    class j for every j, and g^q = E (Z1 holds only E)."""
-    g, cur = sub.generators.get("g", 0), 0
-    for j in range(len(sub)):
-        if cur != j or sub.class_of[cur] != j:
-            return False
-        cur = sub.mult[cur][g]
-    return cur == 0
 
 
 def _identity_matrix(d: int):

@@ -43,11 +43,13 @@ element are built from its quaternion, summed over each class, and the
 twist's isotypic projector, formed from these class sums, has rank
 dim rho * m_n, read off its trace once its idempotency is checked.
 Each element's SU(2) entries are reduced mod p and their powers packed
-into integers once per group, so that a column of a spin matrix is one
-integer product, and the class sums are kept per level, both on the
-group.  The oracle takes no spin character, inner product, CycloNum
-product or row reduction, so it shares no path with the formula it
-checks.
+into integers once per group and distinct linear form, so that a column
+of a spin matrix is one integer product.  The class sums stay packed
+and unreduced, kept per level on the group; the twist's weights are the
+residues of its proven table row, so the projector is one weighted
+integer sum and its idempotency check takes n + 1 integer products.
+The oracle takes no spin character, inner product, CycloNum product or
+row reduction, so it shares no path with the formula it checks.
 """
 
 from __future__ import annotations
@@ -417,13 +419,26 @@ def _linear_powers(a: int, b: int) -> list:
 
 
 def _slot_bits(order: int) -> int:
-    """Bits per packed coefficient (`_pack`) for a group of this order.
+    """Bits per packed coefficient (`_pack`) for a group of this order,
+    enough for every slot the oracle packs at a level n <= N =
+    ORACLE_MAX_LEVEL; with p = PRIME every residue is at most p - 1.
 
-    An entry of a class sum at a level n <= ORACLE_MAX_LEVEL adds at most
-    n + 1 products of residues below PRIME for each of at most `order`
-    elements, so it is at most (ORACLE_MAX_LEVEL + 1) order (PRIME - 1)^2,
-    and a slot of this many bits holds it without a carry."""
-    return ((ORACLE_MAX_LEVEL + 1) * order * (PRIME - 1) ** 2).bit_length()
+    - A column of D^(n/2)(g) is the product of two packed powers of
+      degrees n - c and c, with reduced coefficients: its coefficient of
+      t^r adds at most min(r, n - r, c, n - c) + 1 <= n/2 + 1 products,
+      each at most (p - 1)^2.
+    - An entry of P = sum_c chi(c^-1) C_c adds one such coefficient per
+      element, weighted by a residue: at most |G| (n/2 + 1) (p - 1)^3.
+    - An entry of P P - s P (`_is_scaled_idempotent`) adds n + 1 entries
+      of P times a residue and one times p - s <= p - 1: at most
+      (n + 2) (p - 1) times the bound on P.
+
+    All three are non-negative and grow with n, so no slot of this width
+    carries into the next one at any level up to N.  The powers are
+    reduced mod p, so the width grows with log N: unreduced powers of
+    degree N would need about N log2 p bits."""
+    top = ORACLE_MAX_LEVEL
+    return ((top + 2) * order * (top // 2 + 1) * (PRIME - 1) ** 4).bit_length()
 
 
 def _pack(coeffs, bits: int) -> int:
@@ -436,44 +451,73 @@ def _pack(coeffs, bits: int) -> int:
     return packed
 
 
+def _unpack(packed: int, bits: int, count: int) -> list:
+    """The first `count` coefficients of a `_pack`ed integer."""
+    mask = (1 << bits) - 1
+    return [packed >> bits * j & mask for j in range(count)]
+
+
 def _su2_powers(G: FiniteGroup) -> tuple:
     """Per element, the powers of the linear forms a11 + a21 t and
     a12 + a22 t mod PRIME (`_linear_powers`), from the entries of its
     SU(2) matrix [[w + ix, y + iz], [-y + iz, w - ix]], each packed with
-    `_slot_bits(|G|)` bits per coefficient; once per group."""
+    `_slot_bits(|G|)` bits per coefficient; once per group, and once per
+    distinct form, since the 2|G| forms of G take |G| values."""
     if G._oracle_su2 is None:
         i = reduce_mod_p(root_of_unity(4))
         bits = _slot_bits(len(G))
-        powers = []
+        residue = {v: reduce_mod_p(v)
+                   for v in {v for e in G.elements for v in (e.w, e.x, e.y, e.z)}}
+        forms, powers = {}, []
         for e in G.elements:
-            w, x, y, z = map(reduce_mod_p, (e.w, e.x, e.y, e.z))
-            powers.append(tuple([_pack(p, bits) for p in _linear_powers(a, b)]
-                                for a, b in ((w + i * x, i * z - y),
-                                             (y + i * z, w - i * x))))
+            w, x, y, z = (residue[v] for v in (e.w, e.x, e.y, e.z))
+            pair = (((w + i * x) % PRIME, (i * z - y) % PRIME),
+                    ((y + i * z) % PRIME, (w - i * x) % PRIME))
+            for form in pair:
+                if form not in forms:
+                    forms[form] = [_pack(p, bits) for p in _linear_powers(*form)]
+            powers.append(tuple(map(forms.get, pair)))
         G._oracle_su2 = tuple(powers)
     return G._oracle_su2
 
 
 def _class_sums(G: FiniteGroup, n: int) -> tuple:
-    """Per class c, C_c = sum of D^(n/2)(g) over g in c mod PRIME, a flat
-    row-major tuple; kept on G per level, since no twist enters.
+    """Per class c, C_c = sum of D^(n/2)(g) over g in c, unreduced and
+    packed into one integer column by column: the entry in row r and
+    column c sits in slot c (n + 1) + r.  Kept on G per level, since no
+    twist enters.
 
     D(g) acts on the monomials u1^(n-r) u2^r, unnormalised, so that every
     entry is a polynomial in the SU(2) entries with integer binomials:
     column c expands (a11 u1 + a21 u2)^(n-c) (a12 u1 + a22 u2)^c, and row
     r holds its coefficient of u1^(n-r) u2^r.  On the packed powers the
-    column is one integer product; the packed columns are summed over the
-    class and unpacked once, which `_slot_bits` makes exact."""
+    column is one integer product; `_slot_bits` bounds every slot."""
     sums = G._oracle_class_sums
     if n not in sums:
-        dim, bits = n + 1, _slot_bits(len(G))
-        mask = (1 << bits) - 1
-        acc = [[0] * dim for _ in range(G.num_classes)]
+        bits = _slot_bits(len(G))
+        acc = [[0] * (n + 1) for _ in range(G.num_classes)]
         for c, (first, second) in zip(G.class_of, _su2_powers(G)):
             acc[c] = list(map(add, acc[c], map(mul, first[n::-1], second)))
-        sums[n] = tuple(tuple((col >> (bits * r) & mask) % PRIME
-                              for r in range(dim) for col in cols) for cols in acc)
+        sums[n] = tuple(_pack(cols, bits * (n + 1)) for cols in acc)
     return sums[n]
+
+
+def _is_scaled_idempotent(P: int, entries: list, bits: int, scale: int) -> bool:
+    """Whether P P = scale P mod PRIME, for a square matrix P packed as in
+    `_class_sums` with unreduced entries, and its `entries` mod PRIME in
+    the same order.
+
+    Column k of P, times row k of P spread one column apart, is the
+    outer product of the two in the same packing; summed over k, with
+    (PRIME - scale) P added, slot c (n + 1) + r is an integer congruent to
+    (P P - scale P)[r][c].  That is n + 1 integer products, and
+    `_slot_bits` bounds every slot."""
+    m = math.isqrt(len(entries))
+    column_mask = (1 << bits * m) - 1
+    total = (PRIME - scale) * P
+    for k in range(m):
+        total += (P >> bits * m * k & column_mask) * _pack(entries[k::m], bits * m)
+    return not any(v % PRIME for v in _unpack(total, bits, m * m))
 
 
 def oracle_projector_degeneracy(target, twist, n: int) -> int:
@@ -488,26 +532,31 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
     checked exactly.  Then E = (dim chi/|G|) P is idempotent over GF(p),
     so its minimal polynomial divides x^2 - x, E is diagonalisable with
     eigenvalues 0 and 1, and rank E = tr E in GF(p); as the rank is at
-    most n + 1 < p, it is the residue tr(P) (|G|/dim chi)^-1 mod p.  No
-    spin character, inner product, CycloNum arithmetic or row reduction
-    is used."""
+    most n + 1 < p, it is the residue tr(P) (|G|/dim chi)^-1 mod p.
+
+    chi(c^-1) mod p is read off the residues of the proven table row
+    (`CharacterTable.residues`).  No spin character, inner product,
+    CycloNum arithmetic or row reduction is used."""
     if not 0 <= n <= ORACLE_MAX_LEVEL:
         raise ValueError(f"oracle restricted to levels 0..{ORACLE_MAX_LEVEL}")
     tw = TwistSpec.coerce(target, twist)
     if tw.cyclic_twist is None and (len(tw.combo) != 1 or tw.combo[0][1] != 1):
         raise TwistError("oracle accepts irreducible twists only")
-    G, chi = tw.group, tw.character()
-    dim = chi.value_on_element(G.identity_index).as_integer()
-    weights = [reduce_mod_p(chi.value_on_element(G.inv[rep])) for rep in G.class_reps]
-    flat = [sum(map(mul, weights, entry)) % PRIME for entry in zip(*_class_sums(G, n))]
-    P = [flat[r:r + n + 1] for r in range(0, len(flat), n + 1)]
-    scale, cols = len(G) // dim, list(zip(*P))
-    if any((sum(map(mul, row, col)) - scale * v) % PRIME
-           for row in P for col, v in zip(cols, row)):
+    G = tw.group
+    table = character_table(G)
+    row = table.residues[tw.cyclic_twist if tw.cyclic_twist is not None
+                         else table.irreps.index(table[tw.combo[0][0]])]
+    dim = row[G.class_of[G.identity_index]]
+    bits = _slot_bits(len(G))
+    P = sum(row[G.class_of[G.inv[rep]]] * C
+            for rep, C in zip(G.class_reps, _class_sums(G, n)))
+    entries = [v % PRIME for v in _unpack(P, bits, (n + 1) ** 2)]
+    scale = len(G) // dim
+    if not _is_scaled_idempotent(P, entries, bits, scale):
         raise ContractViolation(
             f"oracle at level {n}: the class sum of {tw.describe()} is not "
             f"{scale} times an idempotent mod {PRIME}")
-    rank = sum(flat[::n + 2]) * pow(scale, -1, PRIME) % PRIME
+    rank = sum(entries[::n + 2]) * pow(scale, -1, PRIME) % PRIME
     if rank % dim:
         raise ContractViolation(
             f"oracle at level {n}: rank {rank} is not a multiple of dim {dim}")

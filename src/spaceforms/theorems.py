@@ -397,14 +397,32 @@ def _tables(gs, n_max):
     out = []
     for G in gs:
         for gen, rows in REFERENCE_INDUCTIONS[G.name].items():
-            got = [row.as_dict() for row in induction_table(G, gen)]
-            r = next((r for r, row in enumerate(rows) if got[r] != row), None)
-            detail = "" if r is None else f"r = {r}: derived {got[r]}, listed {rows[r]}"
-            out.append(CheckResult(f"{G.name}:table:{gen}", r is None, detail))
+            detail = _table_mismatch(G, gen, rows)
+            out.append(CheckResult(f"{G.name}:table:{gen}", not detail, detail))
             ok = column_sum_is_regular(G, gen)
             out.append(CheckResult(f"{G.name}:column_regular:{gen}", ok,
                                    "" if ok else _column_witness(G, gen)))
     return out
+
+
+def _table_mismatch(G: FiniteGroup, gen: str, rows) -> str:
+    """The first of all q rows of the <gen> column that differs from the
+    listed rows, or "" when none does.  A row r past the list reads the
+    listed row q - r: gen is conjugate to its inverse there, so omega^r and
+    omega^(q-r) induce the same character.  On 2T the T column is listed
+    whole, and the unlisted S column reads the T row q - r, since [S] =
+    [T^-1]."""
+    got = [row.as_dict() for row in induction_table(G, gen)]
+    q = len(got)
+    pairs = [("", r, row, r if r < len(rows) else q - r) for r, row in enumerate(got)]
+    if G.name == "2T" and gen == "T":
+        pairs += [("<S> ", r, row.as_dict(), -r % q)
+                  for r, row in enumerate(induction_table(G, "S"))]
+    for prefix, r, row, j in pairs:
+        if row != rows[j]:
+            source = f" at <{gen}> r = {j}" if prefix or j != r else ""
+            return f"{prefix}r = {r}: derived {row}, listed {rows[j]}{source}"
+    return ""
 
 
 def _column_witness(G: FiniteGroup, gen: str) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from spaceforms import groups
+from spaceforms import characters, groups
 from spaceforms.characters import (GALOIS_GENERATORS, CharacterTable,
                                    ClassFunction, TableDerivationError,
                                    _dixon_characters, _split,
@@ -76,22 +76,84 @@ def test_column_orthogonality_recomputed(all_groups):
                     assert acc == ZERO, (G.name, ci, cj)
 
 
-def test_mckay_adjacency_is_the_inner_product_definition(all_groups):
-    # the table reads A off its residues mod 241; here A_ij = <chi_j,
-    # chi_1/2 chi_i> is recomputed by exact inner products on every group
-    # the program builds a table for: 2T, 2O, 2I, their cyclic subgroups
-    # <R>, <S>, <T> and <RST>, and Z1, Z2, Z4 and Z6
+def table_groups(all_groups):
+    """Every group the program builds a table for: 2T, 2O, 2I, their
+    cyclic subgroups <R>, <S>, <T> and <RST>, and Z1, Z2, Z4 and Z6."""
     groups_ = [G for P in all_groups
                for G in [P] + [P.cyclic_subgroup(gen).group
                                for gen in ("R", "S", "T", "RST")]]
     groups_ += [groups.cyclic_group(q) for q in (1, 2, 4, 6)]
     assert len(groups_) == 19
-    for G in groups_:
+    return groups_
+
+
+def test_mckay_adjacency_is_the_inner_product_definition(all_groups):
+    # the table reads A off its residues mod 241; here A_ij = <chi_j,
+    # chi_1/2 chi_i> is recomputed by exact inner products on every table
+    for G in table_groups(all_groups):
         table = character_table(G)
         half = spin_character(G, 1)
         want = tuple(tuple(inner_product_int(b.char, half * a.char) for b in table)
                      for a in table)
         assert table.adjacency == want, G.name
+
+
+def test_eigenvalue_counts_are_the_restriction_multiplicities(all_groups):
+    # induce_twist reads <Res_<g> chi, omega^r> as the eigenvalue count
+    # alpha_r of chi on g's class, computed mod 241 from the table's
+    # residues; here every count of every class of every table is
+    # recomputed by exact inner products on <g>
+    for G in table_groups(all_groups):
+        table = character_table(G)
+        for ci, g in enumerate(G.class_reps):
+            H = groups.SubgroupHandle(G, {G.power(g, j) for j in range(G.orders[g])},
+                                      generator_index=g)
+            want = tuple(tuple(inner_product_int(restrict(ir.char, H),
+                                                 cyclic_character(H, e))
+                               for e in range(H.order)) for ir in table)
+            assert table.eigenvalue_counts(ci) == want, (G.name, ci)
+
+
+def test_cyclic_rows_are_orthonormal(all_groups, monkeypatch):
+    # a cyclic table in power order takes its rows' orthonormality from the
+    # geometric sum and builds with no inner product; here the rows are
+    # recomputed by exact inner products on every cyclic table
+    cyclic = [G for G in table_groups(all_groups) if G.num_classes == len(G)]
+    assert len(cyclic) == 16
+    for G in cyclic:
+        table = character_table(G)
+        for a in table:
+            for b in table:
+                assert inner_product(a.char, b.char) == (ONE if a is b else ZERO)
+    calls = []
+    real = characters.inner_product
+    monkeypatch.setattr(characters, "inner_product",
+                        lambda a, b: calls.append(a) or real(a, b))
+    Z = groups.cyclic_group(6)
+    character_table(groups.FiniteGroup._make(Z.name, Z.elements, Z.mult, Z.generators))
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_a_cyclic_group_out_of_power_order_is_checked_row_by_row(monkeypatch, q):
+    # Z_q with the elements g^1..g^(q-1) listed in reverse: the classes
+    # still follow the powers of g, the elements do not, so the table takes
+    # all q(q+1)/2 row products
+    Z = groups.cyclic_group(q)
+    perm = [0] + list(range(q - 1, 0, -1))
+    pos = {old: new for new, old in enumerate(perm)}
+    Y = groups.FiniteGroup._make(f"Z{q}", [Z.elements[i] for i in perm],
+                                 [[pos[Z.mult[a][b]] for b in perm] for a in perm],
+                                 {"g": pos[Z.generators["g"]]})
+    assert not groups._in_power_order(Y)
+    calls = []
+    real = characters.inner_product
+    monkeypatch.setattr(characters, "inner_product",
+                        lambda a, b: calls.append(a) or real(a, b))
+    table = character_table(Y)
+    assert len(calls) == q * (q + 1) // 2
+    assert [ir.char.values for ir in table] == \
+        [ir.char.values for ir in character_table(Z)]
 
 
 def test_one_corrupted_table_value_fails_the_row_check(all_groups, g2t):

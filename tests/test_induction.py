@@ -318,15 +318,17 @@ def test_dropping_t_loses_rank_on_2i(g2i):
 
 def test_induce_twist_checks_both_routes_once_per_key(g2t, monkeypatch):
     # a fresh copy has no decompositions yet: the first call for a key
-    # still runs and compares both routes, and a failure is not kept
+    # still runs and compares both routes, and a failure is not kept.  The
+    # reciprocity route reads the eigenvalue counts of the copy's own table
+    # at T's class: each count read at r + 1 must be caught
     G = group_from_json(group_to_json(g2t))
-    trivial = trivial_character(G)
-    real_restrict = induction.restrict
-    monkeypatch.setattr(induction, "restrict",
-                        lambda chi, H: real_restrict(trivial, H))
+    table = character_table(G)
+    t = G.class_of[G.generators["T"]]
+    counts = table.eigenvalue_counts(t)
+    table._eigenvalue_counts[t] = tuple(alpha[1:] + alpha[:1] for alpha in counts)
     with pytest.raises(ContractViolation, match="disagree"):
         induce_twist(G, "T", 1)
-    monkeypatch.undo()
+    table._eigenvalue_counts[t] = counts
     real_induce = induction.induce_character
     monkeypatch.setattr(induction, "induce_character",
                         lambda H, chi: real_induce(H, 0))

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -431,16 +432,19 @@ def test_oracle_matrices_cached_per_group(g2t):
     assert g2t._oracle_class_sums[4] is sums
     assert oracle_projector_degeneracy(g2t, "2s", 4) == degeneracy(g2t, "2s", 4)
     assert spectra._class_sums(g2t, 4) is sums
-    assert len(sums) == g2t.num_classes and {len(c) for c in sums} == {25}
-    # the identity class holds D(E) = I
-    assert sums[g2t.class_of[g2t.identity_index]] == tuple(int(r == c) for r in range(5)
-                                                           for c in range(5))
+    assert len(sums) == g2t.num_classes
+    # the identity class holds D(E) = I, one packed integer
+    bits = spectra._slot_bits(len(g2t))
+    assert spectra._unpack(sums[g2t.class_of[g2t.identity_index]], bits, 25) == \
+        [int(r == c) for c in range(5) for r in range(5)]
     assert spectra._su2_powers(g2t) is spectra._su2_powers(g2t)
 
 
+@functools.lru_cache(maxsize=None)
 def plain_class_sums(G, n):
     """Per class, the sum of D^(n/2)(g) mod PRIME by the binomial theorem:
-    column c is (a11 + a21 t)^(n-c) (a12 + a22 t)^c, row r its t^r."""
+    column c is (a11 + a21 t)^(n-c) (a12 + a22 t)^c, row r its t^r; row
+    by row."""
     i = reduce_mod_p(root_of_unity(4))
     dim = n + 1
     sums = [[0] * (dim * dim) for _ in range(G.num_classes)]
@@ -457,34 +461,81 @@ def plain_class_sums(G, n):
 
 
 def test_packed_class_sums_equal_the_plain_expansion(all_groups):
+    # the class sums stay packed and unreduced, column by column
     for G in all_groups + [groups.cyclic_group(q) for q in (2, 4, 6)]:
+        bits = spectra._slot_bits(len(G))
         for n in range(ORACLE_MAX_LEVEL + 1):
-            assert spectra._class_sums(G, n) == plain_class_sums(G, n), (G.name, n)
+            m = n + 1
+            got = [spectra._unpack(C, bits, m * m) for C in spectra._class_sums(G, n)]
+            assert tuple(tuple(C[c * m + r] % PRIME for r in range(m) for c in range(m))
+                         for C in got) == plain_class_sums(G, n), (G.name, n)
 
 
 def test_a_packed_slot_holds_its_bound():
-    # an entry of a class sum is at most (n+1)|G|(p-1)^2; at that extreme,
-    # |G| times the square of all-(p-1) polynomials of degree n, every
-    # coefficient still unpacks exactly
-    n, top = ORACLE_MAX_LEVEL, [PRIME - 1] * (ORACLE_MAX_LEVEL + 1)
-    for order in (2, 4, 6, 24, 48, 120):
+    # every residue p - 1: at the top level the middle column of D(g), two
+    # packed powers of degree n/2, adds n/2 + 1 products in its middle
+    # slot; summed over |G| elements and weighted by p - 1, then P P -
+    # scale P with n + 1 entries p - 1 and scale 1, that slot reaches the
+    # bound `_slot_bits` is drawn for, and every slot still unpacks exactly
+    n, top = ORACLE_MAX_LEVEL, PRIME - 1
+    c = n // 2
+    for order in (1, 2, 4, 6, 24, 48, 120):
         bits = spectra._slot_bits(order)
-        packed = order * spectra._pack(top, bits) ** 2
-        got = [packed >> (bits * r) & ((1 << bits) - 1) for r in range(2 * n + 1)]
-        assert got == [order * (min(r, 2 * n - r) + 1) * (PRIME - 1) ** 2
-                       for r in range(2 * n + 1)], order
+        column = (spectra._pack([top] * (n - c + 1), bits)
+                  * spectra._pack([top] * (c + 1), bits))
+        P = top * order * column
+        total = (n + 1) * top * P + (PRIME - 1) * P
+        assert spectra._unpack(total, bits, n + 1) == [
+            (n + 2) * order * (min(r, n - r, c, n - c) + 1) * top ** 4
+            for r in range(n + 1)], order
 
 
-def test_oracle_refuses_a_twist_that_is_not_a_character(monkeypatch, g2i):
-    # irrep 3 with its [T] and [T^2] values swapped is a class function but
-    # no character: its class sum is no multiple of an idempotent
-    values = list(character_table(g2i)["3"].char.values)
-    t, t2 = g2i.class_by_label["T"], g2i.class_by_label["T^2"]
+def plain_oracle(G, values, n):
+    """The oracle's count from a twist's CycloNum values per class, with P
+    formed entry by entry mod PRIME and P P = scale P checked by (n+1)^3
+    products; None where that check fails."""
+    m, sums = n + 1, plain_class_sums(G, n)
+    weights = [reduce_mod_p(values[G.class_of[G.inv[rep]]]) for rep in G.class_reps]
+    P = [[sum(w * s[r * m + c] for w, s in zip(weights, sums)) % PRIME
+          for c in range(m)] for r in range(m)]
+    dim = values[G.class_of[G.identity_index]].as_integer()
+    scale = len(G) // dim
+    if any((sum(P[r][k] * P[k][c] for k in range(m)) - scale * P[r][c]) % PRIME
+           for r in range(m) for c in range(m)):
+        return None
+    rank = sum(P[r][r] for r in range(m)) * pow(scale, -1, PRIME) % PRIME
+    return m * rank // dim
+
+
+def test_packed_oracle_equals_the_plain_reference(all_groups):
+    # every twist of 2T, 2O, 2I, Z2, Z4 and Z6 at levels 0..8
+    for G in all_groups + [groups.cyclic_group(q) for q in (2, 4, 6)]:
+        table = character_table(G)
+        cyclic = G.num_classes == len(G)
+        for i, ir in enumerate(table):
+            twist = i if cyclic else ir.name
+            for n in range(ORACLE_MAX_LEVEL + 1):
+                assert oracle_projector_degeneracy(G, twist, n) == \
+                    plain_oracle(G, ir.char.values, n), (G.name, ir.name, n)
+
+
+def test_oracle_refuses_a_twist_that_is_not_a_character(g2i):
+    # the oracle reads chi(c^-1) off the residues of the table row; on a
+    # fresh copy, irrep 3's residue row with its [T] and [T^2] entries
+    # swapped is a class function but no character: its class sum is no
+    # multiple of an idempotent
+    G = fresh_copy(g2i)
+    table = character_table(G)
+    i = table.irreps.index(table["3"])
+    row = list(table.residues[i])
+    t, t2 = G.class_by_label["T"], G.class_by_label["T^2"]
+    row[t], row[t2] = row[t2], row[t]
+    table.residues = table.residues[:i] + (tuple(row),) + table.residues[i + 1:]
+    values = list(table["3"].char.values)
     values[t], values[t2] = values[t2], values[t]
-    mutant = characters.ClassFunction(g2i, values)
-    monkeypatch.setattr(TwistSpec, "character", lambda self: mutant)
+    assert plain_oracle(G, values, 6) is None
     with pytest.raises(ContractViolation, match="oracle at level 6"):
-        oracle_projector_degeneracy(g2i, "3", 6)
+        oracle_projector_degeneracy(G, "3", 6)
 
 
 def test_oracle_counts_without_field_arithmetic(monkeypatch, g2o):

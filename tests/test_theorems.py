@@ -264,9 +264,10 @@ def test_unequal_spectra_of_equivalent_twists_are_a_failing_verdict(
 def test_a_column_that_misses_the_regular_character_names_the_class(
         monkeypatch, g2t):
     # the tables are decomposed first, so that only the column sums see
-    # an induction that is off by one at [-E]
+    # an induction that is off by one at [-E]; the table verdicts also read
+    # 2T's S column, which is not listed
     G = groups.group_from_json(groups.group_to_json(g2t))
-    for gen in REFERENCE_INDUCTIONS["2T"]:
+    for gen in [*REFERENCE_INDUCTIONS["2T"], "S"]:
         induction_table(G, gen)
     induce = induction._twist_character
 
@@ -317,3 +318,30 @@ def test_torsion_gates_on_the_product_over_all_twists(monkeypatch, capsys):
     assert code == 1
     assert out == ("FAIL  torsion:anchors  [log residual 0.00e+00]\n"
                    "0/1 checks passed\n")
+
+
+@pytest.mark.parametrize("group, gen, r, key, named", [
+    ("2O", "T", 6, "2O:table:T", "r = 6: "),
+    ("2I", "S", 5, "2I:table:S", "r = 5: "),
+    ("2T", "S", 1, "2T:table:T", "<S> r = 1: "),
+])
+def test_an_unlisted_table_row_fails_naming_r(monkeypatch, capsys, group, gen, r, key,
+                                              named):
+    # the table verdicts check all q rows of each column: a row past the
+    # listed ones reads the listed row q - r, and 2T's S column, which is
+    # not listed, reads the T row q - r; one false derived row there FAILs
+    # naming r, and the run exits 1
+    real = theorems.induction_table
+
+    def one_false_row(G, column):
+        rows = real(G, column)
+        if (G.name, column) == (group, gen):
+            rows = list(rows)
+            rows[r] = dataclasses.replace(rows[r], constituents=rows[0].constituents)
+        return rows
+    monkeypatch.setattr(theorems, "induction_table", one_false_row)
+    code = main(["verify", "tables"])
+    out = capsys.readouterr().out
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(f"FAIL  {key}  [{named}derived "), fails

@@ -1,8 +1,9 @@
 """Exact work counts of a few cheap commands, pinned.
 
 `tools/workcount.py` counts `CycloNum` additions and multiplications, the
-calls of the trace-form kernel `exactnum.trace_form` and the calls to every
-entry point perfbench's tracer wraps, one fresh process per command.  The
+calls of the trace-form kernel `exactnum.trace_form` and of
+`exactnum.reduce_mod_p`, and the calls to every entry point perfbench's
+tracer wraps, one fresh process per command.  The
 counts do not depend on the machine's speed, so a change in the work a
 command does shows here as an exact number; a change that moves them
 updates PINS and says why.  `group 2I order` and `group 2O order` only
@@ -42,19 +43,20 @@ PINS = {
         "cli.resolve_group": 1,
         "exactnum.add": 213,
         "exactnum.mul": 213,
+        "exactnum.reduce_mod_p": 180,
         "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
     },
     "induce 2I": {
         "exit": 0,
         "characters.character_table": 22,
-        "characters.cyclic_character": 44,
-        "characters.inner_product": 441,
-        "characters.restrict": 198,
+        "characters.cyclic_character": 22,
+        "characters.inner_product": 243,
         "cli.resolve_group": 1,
         "exactnum.add": 369,
         "exactnum.mul": 213,
-        "exactnum.trace": 3591,
+        "exactnum.reduce_mod_p": 180,
+        "exactnum.trace": 2187,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
         "induction.induce_twist": 42,
@@ -68,21 +70,22 @@ PINS = {
         "cli.resolve_group": 1,
         "exactnum.add": 213,
         "exactnum.mul": 213,
+        "exactnum.reduce_mod_p": 180,
         "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
         "mckay.mckay_graph": 1,
     },
-    # a cyclic group reads its McKay adjacency mod 241 like 2T, 2O and 2I:
-    # no spin character, and inner products only for the table's rows
+    # a cyclic group reads its McKay adjacency mod 241 like 2T, 2O and 2I,
+    # with no spin character, and its rows omega^r in power order are
+    # orthonormal by the geometric sum, with no inner product
     "mckay Z6": {
         "exit": 0,
         "characters.character_table": 1,
         "characters.cyclic_character": 6,
-        "characters.inner_product": 21,
         "cli.resolve_group": 1,
         "exactnum.add": 77,
         "exactnum.mul": 101,
-        "exactnum.trace": 126,
+        "exactnum.reduce_mod_p": 42,
         "groups.cyclic_group": 1,
         "mckay.mckay_graph": 1,
     },
@@ -93,6 +96,7 @@ PINS = {
         "cli.resolve_group": 1,
         "exactnum.add": 213,
         "exactnum.mul": 213,
+        "exactnum.reduce_mod_p": 180,
         "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
         "spectra.degeneracy_series": 1,
@@ -101,13 +105,13 @@ PINS = {
     "verify isospectral --nmax 60": {
         "exit": 0,
         "characters.character_table": 135,
-        "characters.cyclic_character": 180,
-        "characters.inner_product": 1291,
-        "characters.restrict": 484,
+        "characters.cyclic_character": 120,
+        "characters.inner_product": 593,
         "cli.resolve_group": 3,
         "exactnum.add": 795,
         "exactnum.mul": 431,
-        "exactnum.trace": 9321,
+        "exactnum.reduce_mod_p": 864,
+        "exactnum.trace": 4833,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
         "induction.induce_twist": 60,
@@ -132,18 +136,57 @@ PINS = {
     # per twist: a restored per-level direct route shows as spectra.degeneracy
     "verify oracle --nmax 60": {
         "exit": 0,
-        "characters.character_table": 249,
-        "characters.cyclic_character": 120,
-        "characters.inner_product": 143,
+        "characters.character_table": 357,
+        "characters.cyclic_character": 12,
+        "characters.inner_product": 109,
         "cli.resolve_group": 6,
         "exactnum.add": 586,
         "exactnum.mul": 638,
-        "exactnum.trace": 1061,
+        "exactnum.reduce_mod_p": 544,
+        "exactnum.trace": 889,
         "groups.build_binary_polyhedral": 3,
         "groups.cyclic_group": 3,
         "spectra.degeneracy_series": 36,
         "spectra.levels": 324,
         "spectra.oracle_projector_degeneracy": 324,
+    },
+    # the whole pass: reciprocity reads eigenvalue counts (no restrict), the
+    # oracle reads the tables' residues (no reduce_mod_p per twist), and
+    # the cyclic tables take no row products
+    "verify all --nmax 60": {
+        "exit": 1,
+        "characters.character_table": 567,
+        "characters.cyclic_character": 196,
+        "characters.inner_product": 593,
+        "cli.resolve_group": 6,
+        "exactnum.add": 3220,
+        "exactnum.mul": 649,
+        "exactnum.reduce_mod_p": 972,
+        "exactnum.trace": 4833,
+        "groups.build_binary_polyhedral": 3,
+        "groups.cyclic_group": 3,
+        "groups.verify_generator_conjugations": 3,
+        "induction.column_sum_is_regular": 11,
+        "induction.induce_character": 64,
+        "induction.induce_twist": 198,
+        "induction.induced_matrices": 60,
+        "induction.induction_table": 12,
+        "induction.verify_monomial_rep": 60,
+        "mckay.class_correspondence": 3,
+        "mckay.compactified_diagram": 3,
+        "mckay.mckay_graph": 3,
+        "mckay.relink_matches_mckay": 3,
+        "spectra.degeneracy_series": 243,
+        "spectra.lens_torsion": 8,
+        "spectra.levels": 12951,
+        "spectra.oracle_projector_degeneracy": 324,
+        "theorems.artin_sufficiency": 3,
+        "theorems.compare_reference_matrices": 6,
+        "theorems.solve_irrep_quantities": 6,
+        "theorems.sunada_check": 2,
+        "theorems.verify_central_relations": 3,
+        "theorems.verify_dimension_relation": 3,
+        "theorems.verify_isospectrality": 3,
     },
 }
 

@@ -10,14 +10,15 @@ child counts `CycloNum` additions and multiplications (`__radd__` and
 point that `perfbench/tracer.py` wraps, using that tracer's own wrappers.
 It also counts the calls of `exactnum.trace_form`, the integer kernel of
 the rational inner products, which takes the place of their `CycloNum`
-products.  The tracer is imported read-only: no bytecode is written under
-perfbench/.
+products, and of `exactnum.reduce_mod_p`, which maps a value to GF(241)
+for the character tables' residues and the projector oracle.  The tracer
+is imported read-only: no bytecode is written under perfbench/.
 
 The output is one JSON object: "src_sha256", the digest of src/spaceforms
 computed the way perfbench computes it, and "commands", command -> {"exit":
 code, counter: count, ...}.  Counter names are `exactnum.add`,
-`exactnum.mul`, `exactnum.trace`, `spectra.levels` and
-`<layer>.<entry point>` (calls).
+`exactnum.mul`, `exactnum.trace`, `exactnum.reduce_mod_p`, `spectra.levels`
+and `<layer>.<entry point>` (calls).
 With no COMMAND, the default list below is counted.
 """
 
@@ -60,11 +61,14 @@ def _count_here(command: str) -> dict:
     import spaceforms.cli
     trace = tracer.Tracer()
     tracer.install(trace)
-    kernel = sys.modules["spaceforms.exactnum"].trace_form
-    counting = trace.counted("exactnum.trace", kernel)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("spaceforms.") and getattr(mod, "trace_form", None) is kernel:
-            mod.trace_form = counting
+    exactnum = sys.modules["spaceforms.exactnum"]
+    for attr, counter in (("trace_form", "exactnum.trace"),
+                          ("reduce_mod_p", "exactnum.reduce_mod_p")):
+        kernel = getattr(exactnum, attr)
+        counting = trace.counted(counter, kernel)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("spaceforms.") and getattr(mod, attr, None) is kernel:
+                setattr(mod, attr, counting)
     with contextlib.redirect_stdout(io.StringIO()):
         code = spaceforms.cli.main(command.split())
     counts = Counter(trace.counts)
