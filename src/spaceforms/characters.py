@@ -11,8 +11,9 @@ recovered by a discrete Fourier transform over the power map, give each
 value exactly as a sum of roots of unity.  Nothing is trusted until the row
 orthogonality relations are verified in exact arithmetic; the column
 relations follow from them, since the table is square.  The rows
-omega^r of a cyclic group whose elements are the powers g^j in class
-order are orthonormal by a geometric sum and take no inner product.
+omega^r of a cyclic group whose classes hold the powers g^j in order are
+orthonormal by a geometric sum and take no inner product; a cyclic group
+whose classes do not is refused, since those rows would not be characters.
 `rref`, the row reduction over GF(p) or Q, also serves the exact solver
 in `theorems`.
 
@@ -52,7 +53,7 @@ from .exactnum import (CONDUCTOR, DEGREE, PRIME, CycloNum, ONE, ZERO,
                        _primitive_root_of_unity, format_value, reduce_mod_p,
                        root_of_unity, trace_form)
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
-                     SubgroupHandle, _in_power_order, _least_rotation)
+                     SubgroupHandle, _least_rotation)
 
 
 class TableDerivationError(Exception):
@@ -288,16 +289,13 @@ class Irrep:
 class CharacterTable:
     """The complete list of irreducible characters with canonical labels;
     once the rows are proven, their residues mod PRIME (`reduce_mod_p`) and
-    their McKay adjacency, both in table order.
+    their McKay adjacency, both in table order."""
 
-    `omega_rows` says that row r is omega^r, j -> zeta_q^(rj) on class j,
-    as `character_table` builds the rows of a cyclic group."""
-
-    def __init__(self, group: FiniteGroup, irreps, omega_rows: bool = False):
+    def __init__(self, group: FiniteGroup, irreps):
         self.group = group
         self.irreps = tuple(irreps)
         self.by_name = {normalize_irrep_name(ir.name): ir for ir in self.irreps}
-        self._verify_exact(omega_rows)
+        self._verify_exact()
         self.residues = tuple(tuple(map(reduce_mod_p, ir.char.values))
                               for ir in self.irreps)
         self.adjacency = _mckay_adjacency(group, self.residues)
@@ -332,7 +330,7 @@ class CharacterTable:
                 tuple(_fourier_counts(row, cls, zeta, PRIME)) for row in self.residues)
         return self._eigenvalue_counts[ci]
 
-    def _verify_exact(self, omega_rows: bool):
+    def _verify_exact(self):
         """The table is square, its dimensions, spinor flags and sum of
         squared dimensions are right, and its rows are orthonormal.
 
@@ -341,11 +339,13 @@ class CharacterTable:
         table and D = diag(|c|/|G|), the rows give X D X* = I, so X is
         invertible and X* X = D^-1.
 
-        Rows omega^r of a cyclic group in power order (`_in_power_order`:
-        element j is g^j and lies in class j, and g^q = E) take no inner
-        product.  omega^r is then a homomorphism, and <omega^r, omega^s> =
-        q^-1 sum_j zeta_q^((s-r)j) = delta_rs, a geometric sum.  Any other
-        table is checked row by row."""
+        On a group of q classes of one element each, rows r = 0..q-1 that
+        are j -> zeta_q^(rj) on class j take no inner product:
+        <row r, row s> = q^-1 sum_j zeta_q^((s-r)j) = delta_rs, a geometric
+        sum, whichever element lies in class j.  Each row is compared with
+        that form, q values a row.  Whether such rows are characters is the
+        power order that `character_table` checks.  Any other table is
+        checked row by row."""
         G = self.group
         k = G.num_classes
         if len(self.irreps) != k:
@@ -363,7 +363,9 @@ class CharacterTable:
                     raise TableDerivationError("spinor flag mismatch")
         if dimsq != len(G):
             raise TableDerivationError("sum of squared dimensions != |G|")
-        if omega_rows and _in_power_order(G):
+        q = len(G)
+        if k == q and all(ir.char.values == tuple(root_of_unity(q, r * j) for j in range(q))
+                          for r, ir in enumerate(self.irreps)):
             return
         for a in range(k):
             for b in range(a, k):
@@ -683,11 +685,21 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             if "g" not in G.generators:
                 raise TableDerivationError(
                     f"abelian group {G.name} has no distinguished generator")
+            # j -> zeta_q^(rj) on class j is the homomorphism omega^r when
+            # class j holds g^j for every j < q: the g^j are then q distinct
+            # elements, so g has order q = |G|
+            g, cur = G.generators["g"], G.identity_index
+            for j in range(len(G)):
+                if G.class_of[cur] != j:
+                    raise TableDerivationError(
+                        f"{G.name}: class {j} does not hold g^{j}, so the rows "
+                        "j -> zeta^(rj) are not characters")
+                cur = G.mult[cur][g]
             # omega^r(-E) = (-1)^r, -E = g^(q/2); the row check reads each flag
             spin = G.neg_identity_index is not None
             irreps = [Irrep(CyclicLabel(r, spin and r % 2 == 1), cyclic_character(G, r))
                       for r in range(len(G))]
-        table = CharacterTable(G, irreps, omega_rows=True)
+        table = CharacterTable(G, irreps)
     else:
         table = CharacterTable(G, _mckay_labels(G, _dixon_characters(G)))
     G._char_table = table

@@ -679,17 +679,6 @@ def cyclic_group(q: int) -> FiniteGroup:
     return G
 
 
-def _in_power_order(G: FiniteGroup) -> bool:
-    """Whether element j of the cyclic group G is g^j and lies in class j
-    for every j, and g^q = E (Z1 holds only E)."""
-    g, cur = G.generators.get("g", 0), 0
-    for j in range(len(G)):
-        if cur != j or G.class_of[cur] != j:
-            return False
-        cur = G.mult[cur][g]
-    return cur == 0
-
-
 def left_cosets(G: FiniteGroup, H: SubgroupHandle) -> CosetDecomposition:
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")

@@ -26,8 +26,7 @@ from fractions import Fraction
 from .characters import (ClassFunction, character_table, cyclic_character,
                          inner_product_int, regular_character, restrict)
 from .exactnum import ONE, ZERO
-from .groups import (ContractViolation, FiniteGroup, SubgroupHandle, _in_power_order,
-                     left_cosets)
+from .groups import ContractViolation, FiniteGroup, SubgroupHandle, left_cosets
 
 
 def _coerce_subgroup_character(H: SubgroupHandle, chi) -> ClassFunction:
@@ -348,6 +347,17 @@ class _CyclicTwistRep(MonomialRep):
         the powers of g replaces the |H|^2 products."""
         if not _in_power_order(self.subgroup.group):
             raise ValueError("inducing map is not a homomorphism on H")
+
+
+def _in_power_order(sub: FiniteGroup) -> bool:
+    """Whether element j of the cyclic group `sub` is g^j and lies in
+    class j for every j, and g^q = E (Z1 holds only E)."""
+    g, cur = sub.generators.get("g", 0), 0
+    for j in range(len(sub)):
+        if cur != j or sub.class_of[cur] != j:
+            return False
+        cur = sub.mult[cur][g]
+    return cur == 0
 
 
 def _identity_matrix(d: int):

@@ -406,22 +406,28 @@ def _tables(gs, n_max):
 
 
 def _table_mismatch(G: FiniteGroup, gen: str, rows) -> str:
-    """The first of all q rows of the <gen> column that differs from the
-    listed rows, or "" when none does.  A row r past the list reads the
-    listed row q - r: gen is conjugate to its inverse there, so omega^r and
-    omega^(q-r) induce the same character.  On 2T the T column is listed
-    whole, and the unlisted S column reads the T row q - r, since [S] =
-    [T^-1]."""
-    got = [row.as_dict() for row in induction_table(G, gen)]
-    q = len(got)
-    pairs = [("", r, row, r if r < len(rows) else q - r) for r, row in enumerate(got)]
-    if G.name == "2T" and gen == "T":
-        pairs += [("<S> ", r, row.as_dict(), -r % q)
-                  for r, row in enumerate(induction_table(G, "S"))]
-    for prefix, r, row, j in pairs:
-        if row != rows[j]:
-            source = f" at <{gen}> r = {j}" if prefix or j != r else ""
-            return f"{prefix}r = {r}: derived {row}, listed {rows[j]}{source}"
+    """The first row that differs from the listed rows, or "" when none
+    does, over all q rows of the <gen> column and of each unlisted column
+    whose generator s is conjugate to gen or to its inverse.  Row r of <s>
+    reads the listed row r, or -r mod q when [s] = [gen^-1] (2T's S
+    against T).  A listed index j past the list reads row q - j: gen is
+    conjugate to its inverse there, so omega^j and omega^(q-j) induce the
+    same character."""
+    c = G.class_of[G.generators[gen]]
+    columns = [("", gen, 1)]
+    for s, x in G.generators.items():
+        sign = 1 if G.class_of[x] == c else -1 if G.class_of[G.inv[x]] == c else 0
+        if sign and s not in REFERENCE_INDUCTIONS[G.name]:
+            columns.append((f"<{s}> ", s, sign))
+    for prefix, column, sign in columns:
+        got = induction_table(G, column)
+        q = len(got)
+        for r, dec in enumerate(got):
+            row, j = dec.as_dict(), sign * r % q
+            j = j if j < len(rows) else q - j
+            if row != rows[j]:
+                source = f" at <{gen}> r = {j}" if prefix or j != r else ""
+                return f"{prefix}r = {r}: derived {row}, listed {rows[j]}{source}"
     return ""
 
 

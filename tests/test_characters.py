@@ -8,7 +8,8 @@ import pytest
 
 from spaceforms import characters, groups
 from spaceforms.characters import (GALOIS_GENERATORS, CharacterTable,
-                                   ClassFunction, TableDerivationError,
+                                   ClassFunction, CyclicLabel, Irrep,
+                                   TableDerivationError,
                                    _dixon_characters, _split,
                                    character_table,
                                    cyclic_character, inner_product,
@@ -134,26 +135,35 @@ def test_cyclic_rows_are_orthonormal(all_groups, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("q", [4, 5])
-def test_a_cyclic_group_out_of_power_order_is_checked_row_by_row(monkeypatch, q):
-    # Z_q with the elements g^1..g^(q-1) listed in reverse: the classes
-    # still follow the powers of g, the elements do not, so the table takes
-    # all q(q+1)/2 row products
-    Z = groups.cyclic_group(q)
-    perm = [0] + list(range(q - 1, 0, -1))
-    pos = {old: new for new, old in enumerate(perm)}
-    Y = groups.FiniteGroup._make(f"Z{q}", [Z.elements[i] for i in perm],
-                                 [[pos[Z.mult[a][b]] for b in perm] for a in perm],
-                                 {"g": pos[Z.generators["g"]]})
-    assert not groups._in_power_order(Y)
-    calls = []
-    real = characters.inner_product
-    monkeypatch.setattr(characters, "inner_product",
-                        lambda a, b: calls.append(a) or real(a, b))
-    table = character_table(Y)
-    assert len(calls) == q * (q + 1) // 2
-    assert [ir.char.values for ir in table] == \
-        [ir.char.values for ir in character_table(Z)]
+def test_a_cyclic_group_whose_classes_miss_the_powers_of_g_is_refused():
+    # Z15 with R = g^3 as well: its classes run E, R, .., R^4 and then the
+    # rest, so class 1 holds g^3, not g.  The rows j -> zeta^(rj) on class j
+    # are orthonormal all the same, each class being one element, so the
+    # table of them is accepted; but they are not characters, and
+    # character_table refuses the group
+    Z = groups.cyclic_group(15)
+    g = Z.generators["g"]
+    Y = groups.FiniteGroup._make("Z15", Z.elements, Z.mult, {"g": g, "R": Z.power(g, 3)})
+    irreps = [Irrep(CyclicLabel(r, False), cyclic_character(Y, r)) for r in range(15)]
+    CharacterTable(Y, irreps)
+    w = irreps[1].char
+    assert w.value_on_element(g) * w.value_on_element(g) != \
+        w.value_on_element(Y.mult[g][g])
+    with pytest.raises(TableDerivationError, match="class 1 does not hold g"):
+        character_table(Y)
+
+
+def test_cyclic_rows_other_than_omega_r_take_the_row_check():
+    # the geometric sum covers only rows that are j -> zeta_q^(rj): Z6 with
+    # row 1 moved off that form at g, and nowhere else, is checked row by
+    # row and fails
+    Z = groups.cyclic_group(6)
+    irreps = list(character_table(Z))
+    values = list(irreps[1].char.values)
+    values[1] = root_of_unity(6, 2)
+    irreps[1] = Irrep(irreps[1].label, ClassFunction(Z, values))
+    with pytest.raises(TableDerivationError, match="row orthogonality fails"):
+        CharacterTable(Z, irreps)
 
 
 def test_one_corrupted_table_value_fails_the_row_check(all_groups, g2t):

@@ -62,18 +62,30 @@ MUTANTS = (
            "{ir.name: alpha[r] for ir, alpha in zip(table, counts)}",
            "{ir.name: alpha[(r + 1) % len(alpha)] for ir, alpha in zip(table, counts)}",
            ("tests/test_induction.py::test_reference_tables_reproduced",)),
-    # a cyclic table takes its rows' orthonormality from the geometric sum
-    # without the power-order proof the sum needs
+    # a cyclic group whose classes do not hold the powers of g in order
+    # gets a table whose rows are not characters
     Mutant("cyclic-table-out-of-power-order-accepted", "src/spaceforms/characters.py",
-           "if omega_rows and _in_power_order(G):",
-           "if omega_rows:",
+           "                if G.class_of[cur] != j:\n",
+           "                if False:\n",
            ("tests/test_characters.py::"
-            "test_a_cyclic_group_out_of_power_order_is_checked_row_by_row",)),
+            "test_a_cyclic_group_whose_classes_miss_the_powers_of_g_is_refused",)),
+    # every table of an abelian group skips the row products, not only one
+    # whose rows are j -> zeta_q^(rj)
+    Mutant("abelian-rows-accepted-unread", "src/spaceforms/characters.py",
+           "if k == q and all(",
+           "if k == q or all(",
+           ("tests/test_characters.py::"
+            "test_cyclic_rows_other_than_omega_r_take_the_row_check",)),
     # the table verdicts compare only the listed rows of each column
     Mutant("table-rows-past-the-list-unchecked", "src/spaceforms/theorems.py",
-           "for r, row in enumerate(got)]",
-           "for r, row in enumerate(got[:len(rows)])]",
+           "for r, dec in enumerate(got):",
+           "for r, dec in enumerate(got[:len(rows)]):",
            ("tests/test_theorems.py::test_an_unlisted_table_row_fails_naming_r",)),
+    # 2T's unlisted S column read against the T row r instead of -r mod q
+    Mutant("unlisted-column-read-without-the-inverse", "src/spaceforms/theorems.py",
+           "row, j = dec.as_dict(), sign * r % q",
+           "row, j = dec.as_dict(), r % q",
+           ("tests/test_golden.py::test_verify_verdicts",)),
     # the McKay adjacency with chi_1/2 off by one on every group
     Mutant("half-residue-off-by-one", "src/spaceforms/characters.py",
            "half = [2 * reduce_mod_p(G.elements[rep].w) for rep in G.class_reps]",
