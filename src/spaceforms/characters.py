@@ -46,7 +46,6 @@ CycloNum sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (CONDUCTOR, DEGREE, PRIME, CycloNum, ONE, ZERO,
@@ -253,14 +252,72 @@ def restrict(chi: ClassFunction, H: SubgroupHandle) -> ClassFunction:
                                for rep in sub.class_reps), chi.stable or None)
 
 
-# -- irrep labels and the table container ------------------------------
+# -- records, irrep labels and the table container ----------------------
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
+class Record:
+    """A plain record, the base of this package's result types.
+
+    A subclass's fields are the names it annotates, in order, and a class
+    attribute of the same name is that field's default.  A record is built
+    from its fields by position or keyword, holds them as its only
+    attributes, equals a record of its own class whose fields are equal,
+    and shows as `Name(field=value, ...)`.  A subclass declared with
+    `frozen=True` refuses assignment and hashes by its fields; any other
+    is unhashable, since its fields can change."""
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+        elif "__hash__" not in cls.__dict__:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+            return
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}, "
+                            f"not {args!r} and {kwargs!r}")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                         f"{type(self).__name__}")
+
+
+class IrrepLabel(Record, frozen=True):
+    """Ordered by (dimension, spinor, primes), the order of the table rows."""
     dimension: int
     spinor: bool
     primes: int
+
+    def __lt__(self, other):
+        if type(other) is not IrrepLabel:
+            return NotImplemented
+        return ((self.dimension, self.spinor, self.primes)
+                < (other.dimension, other.spinor, other.primes))
 
     @property
     def name(self) -> str:
@@ -276,8 +333,7 @@ def normalize_irrep_name(name: str) -> str:
             .replace("′", "'").replace("’", "'").replace("`", "'"))
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(Record, frozen=True):
     label: IrrepLabel
     char: ClassFunction
 
@@ -706,8 +762,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     return table
 
 
-@dataclass(frozen=True)
-class CyclicLabel:
+class CyclicLabel(Record, frozen=True):
     """Label of the 1-dim character omega^r of a cyclic group."""
     twist: int
     spinor: bool

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -61,6 +60,7 @@ def resolve_group(selector: str, cache: str | None = None) -> FiniteGroup:
 
 def emit(doc, fmt: str, text_renderer) -> None:
     if fmt == "json":
+        import json    # on use: a text command does not load it
         print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(text_renderer())

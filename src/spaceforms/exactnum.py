@@ -39,17 +39,34 @@ Rational = Fraction
 CONDUCTOR = 120
 
 
-def _cyclotomic_poly(n: int, _cache: dict = {}) -> list[int]:
-    """Integer coefficient list of Phi_n(x), computed by exact division
-    of x^n - 1 by the lower cyclotomic polynomials."""
-    if n in _cache:
-        return _cache[n]
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _int_polydiv(poly, _cyclotomic_poly(d))
-    _cache[n] = poly
+def _cyclotomic_poly(n: int) -> list[int]:
+    """Integer coefficient list of Phi_n(x) = prod_{d | n} (x^d - 1)^mu(n/d):
+    the product of the factors with mu(n/d) = 1, divided exactly by those
+    with mu(n/d) = -1."""
+    poly, divisors = [1], []
+    for d in range(1, n + 1):
+        mu = _mobius(n // d) if n % d == 0 else 0
+        if mu == 1:    # poly * (x^d - 1)
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+        elif mu == -1:
+            divisors.append([-1] + [0] * (d - 1) + [1])
+    for b in divisors:
+        poly = _int_polydiv(poly, b)
     return poly
+
+
+def _mobius(k: int) -> int:
+    """The Moebius function: 0 if a square divides k, else (-1)^(number of
+    prime factors of k)."""
+    mu, p = 1, 2
+    while k > 1:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
 
 
 def _int_polydiv(a: list[int], b: list[int]) -> list[int]:

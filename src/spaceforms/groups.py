@@ -29,7 +29,6 @@ results under the choice can be tested.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 import os
 
@@ -819,6 +818,7 @@ def group_from_json(doc: dict) -> FiniteGroup:
 def save_group(G: FiniteGroup, path: str) -> None:
     """Write the cache file atomically: a failed dump leaves any earlier
     file at `path` untouched."""
+    import json    # on use: a run without a cache does not load it
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -830,5 +830,6 @@ def save_group(G: FiniteGroup, path: str) -> None:
 
 
 def load_group(path: str) -> FiniteGroup:
+    import json
     with open(path) as fh:
         return group_from_json(json.load(fh))

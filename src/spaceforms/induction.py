@@ -20,10 +20,9 @@ over the powers of its generator checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import (ClassFunction, character_table, cyclic_character,
+from .characters import (ClassFunction, Record, character_table, cyclic_character,
                          inner_product_int, regular_character, restrict)
 from .exactnum import ONE, ZERO
 from .groups import ContractViolation, FiniteGroup, SubgroupHandle, left_cosets
@@ -80,8 +79,7 @@ def frobenius_multiplicity(A, H: SubgroupHandle, chi) -> int:
     return big
 
 
-@dataclass(frozen=True)
-class InducedDecomposition:
+class InducedDecomposition(Record, frozen=True):
     """Decomposition of Ind(omega^r) from a cyclic subgroup."""
     group_name: str
     generator: str
@@ -371,8 +369,7 @@ def _mat_mul(A, B):
                  for row in A)
 
 
-@dataclass(frozen=True)
-class MonomialVerdict:
+class MonomialVerdict(Record, frozen=True):
     """What `verify_monomial_rep` found: true on a pass; on a failure,
     `witness` names the first class or product that is wrong."""
     witness: str = ""

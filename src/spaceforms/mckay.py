@@ -21,15 +21,13 @@ a special case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
-from .characters import character_table
+from .characters import Record, character_table
 from .groups import SCHEMA, ContractViolation, FiniteGroup
 
 
-@dataclass(frozen=True)
-class McKayGraph:
+class McKayGraph(Record, frozen=True):
     group_name: str
     nodes: tuple            # display names
     marks: tuple            # dimensions
@@ -119,8 +117,7 @@ def mckay_graph(G: FiniteGroup) -> McKayGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class CompactifiedDiagram:
+class CompactifiedDiagram(Record, frozen=True):
     """Two trivial poles joined by three arcs of fused twist classes."""
     group_name: str
     poles: tuple                  # ("E", "-E")

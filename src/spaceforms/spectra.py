@@ -55,12 +55,11 @@ row reduction, so it shares no path with the formula it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
 from operator import add, mul
 
-from .characters import (ClassFunction, character_table, cyclic_character,
+from .characters import (ClassFunction, Record, character_table, cyclic_character,
                          inner_product, nonnegative_int, spin_character)
 from .exactnum import ONE, PRIME, CycloNum, reduce_mod_p, root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
@@ -70,8 +69,7 @@ class TwistError(ValueError):
     """The requested twist is not a genuine representation."""
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(Record, frozen=True):
     """A flat-bundle twisting: either a cyclic index r (lens case) or an
     integer combination of irreducibles of a polyhedral group."""
     target: object                 # FiniteGroup or SubgroupHandle
@@ -207,8 +205,7 @@ def degeneracy(target, twist, n: int) -> int:
                                      f"intertwining number at level {n}")
 
 
-@dataclass(frozen=True)
-class DegeneracySeries:
+class DegeneracySeries(Record, frozen=True):
     """Degeneracies d_0..d_{n_max} for one twist."""
     twist: TwistSpec
     entries: tuple
@@ -288,8 +285,7 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
 # -- spectral weights ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralWeight:
+class SpectralWeight(Record, frozen=True):
     kind: str            # raw | heat | zeta | counting
     param: float | None = None
 
@@ -312,8 +308,7 @@ class SpectralWeight:
         return SpectralWeight("counting", lam)
 
 
-@dataclass(frozen=True)
-class SpectralSum:
+class SpectralSum(Record, frozen=True):
     value: float
     truncation_bound: float | None
     terms: int
@@ -378,8 +373,7 @@ def spectral_sum(series: DegeneracySeries, weight: SpectralWeight) -> SpectralSu
 # -- lens space analytic torsion -----------------------------------------
 
 
-@dataclass(frozen=True)
-class LensTorsion:
+class LensTorsion(Record, frozen=True):
     """Analytic torsion of the twisted homogeneous lens space; the
     additive spectral quantity is its logarithm."""
     q: int

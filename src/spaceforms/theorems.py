@@ -15,12 +15,11 @@ induction tables they come from are themselves triple-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._reference_tables import (REFERENCE_INDUCTIONS, REFERENCE_MATRIX_DEVIATIONS,
                                 REFERENCE_SOLUTION_MATRICES)
-from .characters import character_table, regular_character, rref
+from .characters import Record, character_table, regular_character, rref
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
                      SubgroupHandle, verify_generator_conjugations)
 from .induction import (_mat_mul, column_sum, column_sum_is_regular,
@@ -34,8 +33,7 @@ from .spectra import (ORACLE_MAX_LEVEL, degeneracy_series, lens_torsion,
 GENERATORS = ("R", "S", "T", "RST")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     key: str
     passed: bool
     detail: str = ""
@@ -69,8 +67,7 @@ def decomposition_row(G: FiniteGroup, r: int, gen: str, sector: str):
     return [Fraction(dec.get(ir.name, 0)) for ir in irreps]
 
 
-@dataclass
-class SolutionMatrix:
+class SolutionMatrix(Record):
     """Exact inverse expressing per-irrep quantities through lens ones."""
     group_name: str
     sector: str
@@ -134,20 +131,18 @@ def reference_system(G: FiniteGroup, sector: str):
     return ref["rows"], [tuple(x) for x in ref["rhs"]], matrix
 
 
-@dataclass
-class RowComparison:
+class RowComparison(Record):
     name: str
     status: str               # exact | permuted | scaled | scaled_permuted | other
     partner: str | None = None
     scale: Fraction | None = None
 
 
-@dataclass
-class MatrixComparison:
+class MatrixComparison(Record):
     solution: SolutionMatrix
     reference_rows: list
     reference_matrix: list
-    rows: list = field(default_factory=list)
+    rows: list
 
     def statuses(self) -> dict:
         return {r.name: r.status for r in self.rows}
@@ -179,7 +174,7 @@ def compare_reference_matrices(G: FiniteGroup, sector: str) -> MatrixComparison:
     sol = solve_irrep_quantities(G, sector, ref_rhs)
     if sol.row_labels != ref_rows:
         raise ContractViolation("irrep inventory disagrees with the reference")
-    comp = MatrixComparison(sol, ref_rows, ref_matrix)
+    comp = MatrixComparison(sol, ref_rows, ref_matrix, [])
     for i, name in enumerate(sol.row_labels):
         got = sol.matrix[i]
         if got == ref_matrix[i]:
@@ -320,8 +315,7 @@ def verify_central_relations(G: FiniteGroup, n_max: int = 60) -> list[CheckResul
     return out
 
 
-@dataclass
-class SunadaVerdict:
+class SunadaVerdict(Record):
     equivalent: bool
     isospectral_verified: bool
     detail: str

@@ -92,6 +92,34 @@ def test_labels_each_metric_against_its_bound(bench_summary, tmp_path, monkeypat
         for w in labels}
 
 
+def test_the_gain_rule_pairs_runs_by_seed(bench_summary, tmp_path, monkeypatch):
+    # parent work_per_s over seeds 1..10 has quartiles 9.925 and 10.075;
+    # cold-cli: the change wins 9 pairs and ties one, +2.0 beyond the 0.15
+    # spread, and every setup_s pair is lower (lower is better): met;
+    # deep-spectrum: +2.0, but it wins only 8 pairs; verify-harness: it wins
+    # all 10 pairs, but its median moves by 0.1, inside the spread
+    monkeypatch.chdir(tmp_path)
+    parent = (9.8, 9.9, 9.9, 10.0, 10.0, 10.0, 10.0, 10.1, 10.1, 10.2)
+    change = {"cold-cli": [12.0] * 9 + [10.2],
+              "deep-spectrum": [12.0] * 8 + [9.0, 9.0],
+              "verify-harness": [p + 0.1 for p in parent]}
+    for workload, values in change.items():
+        for seed, (old, new) in enumerate(zip(parent, values), start=1):
+            write_run(tmp_path / "a", workload, seed, "aaa", old, setup_s=0.5)
+            write_run(tmp_path / "b", workload, seed, "bbb", new, setup_s=0.4)
+    write_run(tmp_path / "b", "cold-cli", 11, "bbb", 12.0, setup_s=0.4)   # no partner
+    assert bench_summary.main(["--pr", "9", f"parent={tmp_path / 'a'}",
+                               f"change={tmp_path / 'b'}"]) == 0
+    doc = json.loads((tmp_path / "BENCH_9.json").read_text())
+    rule = {w: {m: (v["pairs"], v["wins"], v["gain_rule_met"]) for m, v in metrics.items()}
+            for w, metrics in doc["verdicts"].items()}
+    assert rule == {"cold-cli": {"work_per_s": (10, 9, True), "setup_s": (10, 10, True)},
+                    "deep-spectrum": {"work_per_s": (10, 8, False),
+                                      "setup_s": (10, 10, True)},
+                    "verify-harness": {"work_per_s": (10, 10, False),
+                                       "setup_s": (10, 10, True)}}
+
+
 def test_no_results_is_an_error(bench_summary, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert bench_summary.main(["--pr", "9", str(tmp_path)]) == 2

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -175,7 +174,7 @@ def test_one_corrupted_table_value_fails_the_row_check(all_groups, g2t):
         irreps = list(table)
         f = irreps[a].char
         values = f.values[:c] + (f.values[c] + 1,) + f.values[c + 1:]
-        irreps[a] = dataclasses.replace(irreps[a], char=ClassFunction(G, values))
+        irreps[a] = Irrep(irreps[a].label, ClassFunction(G, values))
         return irreps
 
     cases = [(g2t, a, c) for a in range(len(character_table(g2t)))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -499,6 +500,48 @@ def test_cli_import_does_not_load_numpy():
     proc = _python("import sys, spaceforms.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the stdout digest and exit code of each command; the first two also run
+# with a --cache directory, fresh and then warm, and CACHE_DOCUMENTS pins
+# the documents they write there
+LAZY_JSON_COMMANDS = (
+    (("group", "2I", "order"),
+     "97b912eb4a61df5f806ca6239dde3e1a4f51ad20aced1642cbb83dc510a5fa6b 0"),
+    (("group", "2T", "chartab", "--format", "json"),
+     "2fa8ccfec32fa42fccf5b2172844c4d1bb147f585d436fc2c6d6c79b03abd9a7 0"),
+    (("mckay", "2O", "--format", "json"),
+     "682a5258c5277973708851cf84af59456b6aff08cd02fb2c130d7ff9fb82607b 0"),
+    (("spectrum", "2I", "--irrep", "2s", "--nmax", "20", "--format", "json"),
+     "ee3a5156ae63deab40bef6a016096c47170580318d73f0032dae8b333807e4f2 0"))
+CACHE_DOCUMENTS = {
+    "2I.json": "c4f9a395190eb4c9c09ff1fd2560729b4227c5fbead1278afaf53951b7fc1789",
+    "2T.json": "bfa88c11fea62bcf119290825055bf19fe801fb8ed711c5797e7b1b1004cbd6a"}
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json(tmp_path):
+    # a cold process pays for json only when a command reads or writes it
+    cache = str(tmp_path / "groups")
+    commands = [("--cache", cache, *argv) for argv, _ in LAZY_JSON_COMMANDS[:2]] * 2
+    commands += [argv for argv, _ in LAZY_JSON_COMMANDS[2:]]
+    script = "\n".join((
+        "import sys",
+        "import spaceforms.cli",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))",
+        "import contextlib, hashlib, io",
+        f"for argv in {commands!r}:",
+        "    buf = io.StringIO()",
+        "    with contextlib.redirect_stdout(buf):",
+        "        code = spaceforms.cli.main(list(argv))",
+        "    print(hashlib.sha256(buf.getvalue().encode()).hexdigest(), code)"))
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    loaded, *digests = proc.stdout.splitlines()
+    assert loaded == "[]"
+    want = [d for _, d in LAZY_JSON_COMMANDS]
+    assert digests == want[:2] * 2 + want[2:]
+    assert {name: hashlib.sha256((tmp_path / "groups" / name).read_bytes()).hexdigest()
+            for name in os.listdir(cache)} == CACHE_DOCUMENTS
 
 
 COLD_COMMANDS = (("group", "2I", "chartab"), ("induce", "2I"),

@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from spaceforms.exactnum import (CONDUCTOR, ONE, ZERO, embed_float, format_value,
-                                 from_rational, galois, root_of_unity)
+from spaceforms.exactnum import (CONDUCTOR, ONE, ZERO, _cyclotomic_poly, embed_float,
+                                 format_value, from_rational, galois, root_of_unity)
 
 
 def test_conductor_basics():
@@ -159,3 +159,23 @@ def test_hash_and_immutability():
     assert hash(a) == hash(b) and a == b
     with pytest.raises(AttributeError):
         a.den = 2
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # a check that shares no step with the Moebius formula: prod_{d | n}
+    # Phi_d(x) = x^n - 1 takes no Moebius sign, and for n = 1, 2, ... in turn
+    # it fixes Phi_n from the lower ones; deg Phi_d = phi(d) is counted apart
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for n in (n for n in range(1, CONDUCTOR + 1) if CONDUCTOR % n == 0):
+        product = [1]
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            phi = _cyclotomic_poly(d)
+            assert len(phi) - 1 == sum(gcd(k, d) == 1 for k in range(1, d + 1)), d
+            product = times(product, phi)
+        assert product == [-1] + [0] * (n - 1) + [1], n

@@ -409,7 +409,7 @@ def test_save_group_keeps_the_old_file_when_the_dump_fails(g2t, g2o,
         fh.write(json.dumps(doc)[:100])
         raise OSError("disk full")
 
-    monkeypatch.setattr(groups.json, "dump", broken_dump)
+    monkeypatch.setattr(json, "dump", broken_dump)
     with pytest.raises(OSError, match="disk full"):
         groups.save_group(g2o, str(path))
     assert path.read_bytes() == before

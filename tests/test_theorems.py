@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,8 +6,9 @@ from spaceforms import groups, induction, theorems
 from spaceforms._reference_tables import REFERENCE_INDUCTIONS
 from spaceforms.characters import ClassFunction
 from spaceforms.cli import main
-from spaceforms.induction import induce_twist, induction_table
-from spaceforms.spectra import SpectralWeight, degeneracy_series, spectral_sum
+from spaceforms.induction import InducedDecomposition, induce_twist, induction_table
+from spaceforms.spectra import (DegeneracySeries, LensTorsion, SpectralWeight,
+                               degeneracy_series, spectral_sum)
 from spaceforms.theorems import (CheckResult, compare_reference_matrices,
                                  reference_system, sector_irreps,
                                  solve_irrep_quantities, sunada_check,
@@ -251,7 +251,7 @@ def test_unequal_spectra_of_equivalent_twists_are_a_failing_verdict(
         if target.name.endswith("<T>") and twist == 5:
             entries = list(s.entries)
             entries[7] += 1
-            s = dataclasses.replace(s, entries=tuple(entries))
+            s = DegeneracySeries(s.twist, tuple(entries))
         return s
     monkeypatch.setattr(theorems, "degeneracy_series", off_at_level_7)
     code = main(["verify", "sunada", "--nmax", "20"])
@@ -291,8 +291,11 @@ def test_torsion_anchors_gate_on_the_exact_identity(monkeypatch):
     def patched(field, change, at):
         def torsion(q, r):
             t = real(q, r)
-            return dataclasses.replace(t, **{field: change(getattr(t, field))}) \
-                if (q, r) == at else t
+            if (q, r) != at:
+                return t
+            fields = dict(q=t.q, r=t.r, exact=t.exact, value=t.value,
+                          log_value=t.log_value)
+            return LensTorsion(**{**fields, field: change(fields[field])})
         monkeypatch.setattr(theorems, "lens_torsion", torsion)
         [check] = theorems._torsion([], 60)
         return check
@@ -310,7 +313,7 @@ def test_torsion_gates_on_the_product_over_all_twists(monkeypatch, capsys):
 
     def torsion(q, r):
         t = real(q, r)
-        return dataclasses.replace(t, exact=t.exact + 1) if (q, r) == (6, 2) else t
+        return LensTorsion(q, r, t.exact + 1, t.value, t.log_value) if (q, r) == (6, 2) else t
 
     monkeypatch.setattr(theorems, "lens_torsion", torsion)
     code = main(["verify", "torsion"])
@@ -337,7 +340,9 @@ def test_an_unlisted_table_row_fails_naming_r(monkeypatch, capsys, group, gen, r
         rows = real(G, column)
         if (G.name, column) == (group, gen):
             rows = list(rows)
-            rows[r] = dataclasses.replace(rows[r], constituents=rows[0].constituents)
+            d = rows[r]
+            rows[r] = InducedDecomposition(d.group_name, d.generator, d.twist,
+                                           d.subgroup_order, rows[0].constituents)
         return rows
     monkeypatch.setattr(theorems, "induction_table", one_false_row)
     code = main(["verify", "tables"])

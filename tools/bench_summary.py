@@ -22,9 +22,14 @@ parent's median): unresolved when the parent's own quartile spread,
 (q3 - q1) / median, is wider than the bound, unless every run of the
 change is better than every run of the parent (then better); otherwise
 better or worse when the change's median moves the metric's way or against
-it by more than the bound.  Under `trace_diff` it writes, per workload and per seed that both
-sides traced, each work count that differs as the change's count minus the
-parent's; an empty map means equal counts.
+it by more than the bound.  Each metric also carries the gain rule: the
+runs of the two sides are paired by seed, `pairs` counts the pairs and
+`wins` those where the change's value is better (a tie counts for neither),
+and `gain_rule_met` is true when the change wins at least 9 in 10 pairs
+and its median moves the metric's way by more than the parent's quartile
+spread, q3 - q1.  Under `trace_diff` it writes, per workload and per seed
+that both sides traced, each work count that differs as the change's count
+minus the parent's; an empty map means equal counts.
 """
 
 from __future__ import annotations
@@ -95,32 +100,36 @@ def verdicts(runs: list[dict], bounds: list[dict]) -> dict:
     """workload -> metric -> the change against the parent (module doc)."""
     out: dict = {}
     for workload in sorted({run["workload"] for run in runs}):
-        side = {label: [run["end_to_end"] for run in runs
+        side = {label: [run for run in runs
                         if run["workload"] == workload and run["label"] == label]
                 for label in ("parent", "change")}
         for metric in bounds:
             name, bound = metric["name"], metric["bound"]
-            values = {label: [e2e[name] for e2e in side[label] if name in e2e]
+            values = {label: [(run["seed"], run["end_to_end"][name]) for run in side[label]
+                              if name in run["end_to_end"]]
                       for label in side}
             if not all(values.values()):
                 continue
-            parent = quartiles(values["parent"])
-            change = quartiles(values["change"])["median"]
+            parent = quartiles([v for _, v in values["parent"]])
+            change = quartiles([v for _, v in values["change"]])["median"]
+            way = 1 if metric["better"] == "higher" else -1
             spread = (parent["q3"] - parent["q1"]) / parent["median"]
-            worse_by = (change - parent["median"]) / parent["median"]
-            if metric["better"] == "higher":
-                worse_by = -worse_by
-                every_run_better = min(values["change"]) > max(values["parent"])
-            else:
-                every_run_better = max(values["change"]) < min(values["parent"])
+            worse_by = -way * (change - parent["median"]) / parent["median"]
+            every_run_better = (min(way * v for _, v in values["change"])
+                                > max(way * v for _, v in values["parent"]))
             if spread > bound:
                 label = "better" if every_run_better else "unresolved"
             else:
                 label = ("worse" if worse_by > bound
                          else "better" if -worse_by > bound else "within")
+            by_seed = dict(values["parent"])
+            pairs = [(by_seed[seed], v) for seed, v in values["change"] if seed in by_seed]
+            wins = sum(way * (v - p) > 0 for p, v in pairs)
             out.setdefault(workload, {})[name] = {
                 "label": label, "bound": bound, "parent_spread": spread,
-                "change_worse_by": worse_by}
+                "change_worse_by": worse_by, "pairs": len(pairs), "wins": wins,
+                "gain_rule_met": bool(pairs) and wins >= 0.9 * len(pairs)
+                and way * (change - parent["median"]) > parent["q3"] - parent["q1"]}
     return out
 
 

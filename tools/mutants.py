@@ -107,6 +107,30 @@ MUTANTS = (
            "    inverse_class = list(range(G.num_classes))\n",
            ("tests/test_characters.py::"
             "test_mckay_adjacency_is_the_inner_product_definition",)),
+    # irrep labels ordered with the spinor flag before the dimension, which
+    # reorders the rows of every table
+    Mutant("irrep-label-order-spinor-first", "src/spaceforms/characters.py",
+           "        return ((self.dimension, self.spinor, self.primes)\n"
+           "                < (other.dimension, other.spinor, other.primes))",
+           "        return ((self.spinor, self.dimension, self.primes)\n"
+           "                < (other.spinor, other.dimension, other.primes))",
+           ("tests/test_golden.py::test_cli_digest[group 2T chartab]",
+            "tests/test_records.py::"
+            "test_irrep_labels_order_by_dimension_then_spinor_then_primes")),
+    # a record that was frozen accepts assignment
+    Mutant("frozen-record-accepts-assignment", "src/spaceforms/spectra.py",
+           "class LensTorsion(Record, frozen=True):",
+           "class LensTorsion(Record):",
+           ("tests/test_records.py::"
+            "test_frozen_records_refuse_assignment_and_mutable_ones_take_it",)),
+    # the Moebius sign of the factor x - 1 flipped: a flip on a factor that
+    # Phi_120 reads fails the module's own degree check at import, so this
+    # one leaves Phi_120 (mu(120) = 0) and breaks Phi_n for squarefree n
+    Mutant("moebius-sign-flipped-on-x-minus-1", "src/spaceforms/exactnum.py",
+           "mu = _mobius(n // d) if n % d == 0 else 0",
+           "mu = (_mobius(n // d) if n % d == 0 else 0) * (-1 if d == 1 else 1)",
+           ("tests/test_exactnum.py::"
+            "test_cyclotomic_polynomials_multiply_to_x_n_minus_1",)),
 )
 
 
