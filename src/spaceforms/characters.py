@@ -267,7 +267,7 @@ class Record:
     is unhashable, since its fields can change."""
 
     def __init_subclass__(cls, frozen: bool = False):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse_assignment
@@ -276,9 +276,6 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if len(args) == len(fields) and not kwargs:
-            self.__dict__.update(zip(fields, args))
-            return
         values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
         if (len(args) > len(fields) or values.keys() != set(fields)
                 or not kwargs.keys().isdisjoint(fields[:len(args)])):
