@@ -52,7 +52,7 @@ from .exactnum import (CONDUCTOR, DEGREE, PRIME, CycloNum, ONE, ZERO,
                        _primitive_root_of_unity, format_value, reduce_mod_p,
                        root_of_unity, trace_form)
 from .groups import (GROUP_NAMES, SCHEMA, ContractViolation, FiniteGroup,
-                     SubgroupHandle, _least_rotation)
+                     SubgroupHandle, _least_rotation, power_order_break)
 
 
 class TableDerivationError(Exception):
@@ -230,17 +230,15 @@ def spin_character(G: FiniteGroup, two_j: int) -> ClassFunction:
 
 
 def cyclic_character(H, r: int) -> ClassFunction:
-    """The character g -> omega_q^r on a cyclic group (or cyclic
-    subgroup handle), measured against its distinguished generator."""
+    """The class function zeta_q^(rj) on class j of a cyclic group (or
+    cyclic subgroup handle): omega^r, and so Galois-stable, when class j
+    holds g^j for every j (`groups.power_order_break`)."""
     G = H.group if isinstance(H, SubgroupHandle) else H
     q = len(G)
     if G.num_classes != q:
         raise ValueError(f"{G.name} is not cyclic")
-    # stable when class j is g^j, as _conjugacy orders the classes of a
-    # group whose only generator is g
-    power_order = "g" in G.generators and not G.generators.keys() & {"R", "S", "T"}
     return ClassFunction(G, (root_of_unity(q, r * j) for j in range(q)),
-                         power_order or None)
+                         power_order_break(G) is None or None)
 
 
 def restrict(chi: ClassFunction, H: SubgroupHandle) -> ClassFunction:
@@ -347,7 +345,8 @@ class CharacterTable:
     def __init__(self, group: FiniteGroup, irreps):
         self.group = group
         self.irreps = tuple(irreps)
-        self.by_name = {normalize_irrep_name(ir.name): ir for ir in self.irreps}
+        self.row_by_name = {normalize_irrep_name(ir.name): r
+                            for r, ir in enumerate(self.irreps)}
         self._verify_exact()
         self.residues = tuple(tuple(map(reduce_mod_p, ir.char.values))
                               for ir in self.irreps)
@@ -361,11 +360,16 @@ class CharacterTable:
         return len(self.irreps)
 
     def __getitem__(self, name: str) -> Irrep:
+        return self.irreps[self.row(name)]
+
+    def row(self, name: str) -> int:
+        """The row of the irrep called `name`, in any case and with any
+        prime sign (`normalize_irrep_name`)."""
         key = normalize_irrep_name(name)
-        if key not in self.by_name:
+        if key not in self.row_by_name:
             valid = ", ".join(ir.name for ir in self.irreps)
             raise KeyError(f"unknown irrep {name!r}; valid names: {valid}")
-        return self.by_name[key]
+        return self.row_by_name[key]
 
     def eigenvalue_counts(self, ci: int) -> tuple:
         """Per irrep in table order, alpha_0..alpha_{o-1} on class ci, o the
@@ -585,9 +589,10 @@ def _fourier_counts(residues, cls, zeta, p: int) -> list[int]:
                             for l, c in enumerate(cls)) % p for e in range(order)]
 
 
-def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
+def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> tuple[list, list]:
     """Exact irreducible characters by Dixon's modular method with
-    Schneider's splitting.  Verification happens later in CharacterTable.
+    Schneider's splitting, and their residues mod p per class, in the same
+    order.  Verification happens later in CharacterTable.
 
     The class matrices M_i[j][l] = a_{ijl} commute, and their common
     eigenvectors are the central characters omega_j = |C_j| chi(g_j) /
@@ -616,7 +621,7 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
     z = _primitive_root_of_unity(p)
     powers = [_power_walk(G, rep, z, p) for rep in G.class_reps]
 
-    chars = []
+    chars, rows = [], []
     for (u,), _ in spaces:
         if not u[e_class]:
             raise TableDerivationError("a central character vanishes at E")
@@ -642,7 +647,8 @@ def _dixon_characters(G: FiniteGroup, p: int = PRIME) -> list[ClassFunction]:
         chi = ClassFunction(G, values)
         galois_stable(chi)
         chars.append(chi)
-    return chars
+        rows.append(residues)
+    return chars, rows
 
 
 # -- canonical labeling -------------------------------------------------
@@ -680,10 +686,11 @@ def _mckay_adjacency(G: FiniteGroup, rows) -> tuple:
                        * scale % PRIME for b in rows) for ri in rows)
 
 
-def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
+def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction], residues: list):
     """Name each character by its place on the McKay graph.
 
-    A[i][j] = <chi_j, chi_1/2 chi_i>; the walk from the trivial character
+    A[i][j] = <chi_j, chi_1/2 chi_i>, read off the characters' `residues`
+    mod PRIME per class (`_mckay_adjacency`); the walk from the trivial character
     must reach every node (chi_1/2 is faithful exactly when the graph is
     connected), and NODE_NAMES names each node by its distance and
     dimension.  Returns the irreps in label order."""
@@ -697,7 +704,7 @@ def _mckay_labels(G: FiniteGroup, chars: list[ClassFunction]):
             f"{G.name}: T is not the rotation by the least angle, tr T = 2cos(pi/{n}), "
             "so the triple does not fit the classical names")
     k = len(chars)
-    A = _mckay_adjacency(G, [tuple(map(reduce_mod_p, c.values)) for c in chars])
+    A = _mckay_adjacency(G, residues)
     dist = [None] * k
     queue = [next(i for i, c in enumerate(chars) if all(v == ONE for v in c.values))]
     dist[queue[0]] = 0
@@ -738,23 +745,20 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             if "g" not in G.generators:
                 raise TableDerivationError(
                     f"abelian group {G.name} has no distinguished generator")
-            # j -> zeta_q^(rj) on class j is the homomorphism omega^r when
-            # class j holds g^j for every j < q: the g^j are then q distinct
-            # elements, so g has order q = |G|
-            g, cur = G.generators["g"], G.identity_index
-            for j in range(len(G)):
-                if G.class_of[cur] != j:
-                    raise TableDerivationError(
-                        f"{G.name}: class {j} does not hold g^{j}, so the rows "
-                        "j -> zeta^(rj) are not characters")
-                cur = G.mult[cur][g]
+            # the rows j -> zeta_q^(rj) on class j are the characters omega^r
+            # exactly when G is in power order
+            j = power_order_break(G)
+            if j is not None:
+                raise TableDerivationError(
+                    f"{G.name}: class {j} does not hold g^{j}, so the rows "
+                    "j -> zeta^(rj) are not characters")
             # omega^r(-E) = (-1)^r, -E = g^(q/2); the row check reads each flag
             spin = G.neg_identity_index is not None
             irreps = [Irrep(CyclicLabel(r, spin and r % 2 == 1), cyclic_character(G, r))
                       for r in range(len(G))]
         table = CharacterTable(G, irreps)
     else:
-        table = CharacterTable(G, _mckay_labels(G, _dixon_characters(G)))
+        table = CharacterTable(G, _mckay_labels(G, *_dixon_characters(G)))
     G._char_table = table
     return table
 

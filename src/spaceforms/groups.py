@@ -392,7 +392,7 @@ class FiniteGroup:
         g._oracle_su2 = None        # SU(2) linear-form powers mod p per element (spectra)
         g._oracle_class_sums = {}   # n -> class sums of D^(n/2) mod p (spectra)
         g._cyclic_subgroups = {}
-        g._multiplicity_columns = {}    # irreducible -> (m_0, m_1, ...)
+        g._multiplicity_columns = ()    # per table row, (m_0, m_1, ...) (spectra)
         g._induced_twists = {}      # (gen, r mod q) -> decomposition
         g._induced_characters = {}  # (gen, r mod q) -> Ind omega^r
         g._coset_actions = {}       # subgroup members -> CosetAction (induction)
@@ -676,6 +676,20 @@ def cyclic_group(q: int) -> FiniteGroup:
             raise GroupConstructionError(f"cyclic generator has wrong order for Z{q}")
     _BUILD_CACHE[key] = G
     return G
+
+
+def power_order_break(G: FiniteGroup) -> int | None:
+    """The first j < |G| at which element j of G is not g^j or class j does
+    not hold it, g the distinguished generator (E when G has none); None
+    when there is no such j.  Then g^0..g^(|G|-1) are all of G, so g has
+    order |G|, and j -> zeta_q^(rj) on class j, or on element j, is the
+    character omega^r of the cyclic group G.  Z1 holds only E."""
+    g, cur = G.generators.get("g", G.identity_index), G.identity_index
+    for j in range(len(G)):
+        if cur != j or G.class_of[cur] != j:
+            return j
+        cur = G.mult[cur][g]
+    return None
 
 
 def left_cosets(G: FiniteGroup, H: SubgroupHandle) -> CosetDecomposition:

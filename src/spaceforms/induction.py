@@ -25,7 +25,8 @@ from fractions import Fraction
 from .characters import (ClassFunction, Record, character_table, cyclic_character,
                          inner_product_int, regular_character, restrict)
 from .exactnum import ONE, ZERO
-from .groups import ContractViolation, FiniteGroup, SubgroupHandle, left_cosets
+from .groups import (ContractViolation, FiniteGroup, SubgroupHandle, left_cosets,
+                     power_order_break)
 
 
 def _coerce_subgroup_character(H: SubgroupHandle, chi) -> ClassFunction:
@@ -342,20 +343,14 @@ class _CyclicTwistRep(MonomialRep):
         """omega^r is a homomorphism exactly when element j of H.group is
         g^j and lies in class j, with g^q = E: then B(g^a) B(g^b) =
         zeta_q^(r(a+b)) = B(g^(a+b mod q)) and B(E) = 1.  One walk over
-        the powers of g replaces the |H|^2 products."""
+        the powers of g (`groups.power_order_break`) replaces the |H|^2
+        products."""
         if not _in_power_order(self.subgroup.group):
             raise ValueError("inducing map is not a homomorphism on H")
 
 
 def _in_power_order(sub: FiniteGroup) -> bool:
-    """Whether element j of the cyclic group `sub` is g^j and lies in
-    class j for every j, and g^q = E (Z1 holds only E)."""
-    g, cur = sub.generators.get("g", 0), 0
-    for j in range(len(sub)):
-        if cur != j or sub.class_of[cur] != j:
-            return False
-        cur = sub.mult[cur][g]
-    return cur == 0
+    return power_order_break(sub) is None
 
 
 def _identity_matrix(d: int):

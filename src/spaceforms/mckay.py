@@ -117,8 +117,10 @@ def mckay_graph(G: FiniteGroup) -> McKayGraph:
     return graph
 
 
-class CompactifiedDiagram(Record, frozen=True):
-    """Two trivial poles joined by three arcs of fused twist classes."""
+class CompactifiedDiagram(Record):
+    """Two trivial poles joined by three arcs of fused twist classes.
+    Built afresh per call and holding its arcs and reflection as dicts, it
+    is a mutable, unhashable record."""
     group_name: str
     poles: tuple                  # ("E", "-E")
     arcs: dict                    # generator -> list of internal class labels

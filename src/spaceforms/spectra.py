@@ -24,17 +24,18 @@ the -E term absent when -E is not in Gamma (this is the Molien-series
 view of space-form spectra; for the trivial twist m_n are the
 coefficients of Klein's invariant Poincare series).
 
-The block m_0..m_{L-1} is linear in the twist, so it is an integer
-combination of the columns of the irreducibles (the table's irreps, or
-the characters omega^r of a cyclic group).  The columns come from the
+A twist is an integer combination of the rows of its group's character
+table (`TwistSpec`); a lens twist omega^r is row r of a cyclic group's
+table.  The block m_0..m_{L-1} is linear in the twist, so it is the same
+combination of the rows' columns.  The columns come from the
 Clebsch-Gordan rule chi_{1/2} chi_{n/2} = chi_{(n+1)/2} + chi_{(n-1)/2}:
 the vector v_n of all irreducibles' multiplicities in Res chi_{n/2}
 obeys v_{n+1} = A v_n - v_{n-1} from v_0 = e_1, v_{-1} = 0, with A the
 McKay adjacency (McKay 1980; Kostant 1984), which the character table
 keeps, read mod p off its values with no inner product.  Every column
 entry is integer arithmetic, kept on the group and grown together as
-deep as asked; so are the steps, read from the twist's integer values
-at E and -E.  `degeneracy` keeps the direct per-level
+deep as asked; so are the steps, read from the rows' dimensions and
+spinor flags.  `degeneracy` keeps the direct per-level
 inner product, which the tests compare with the series.
 
 An independent oracle counts m_n for levels up to ORACLE_MAX_LEVEL
@@ -59,8 +60,8 @@ from fractions import Fraction
 from itertools import count, takewhile
 from operator import add, mul
 
-from .characters import (ClassFunction, Record, character_table, cyclic_character,
-                         inner_product, nonnegative_int, spin_character)
+from .characters import (ClassFunction, Record, character_table, inner_product,
+                         nonnegative_int, spin_character)
 from .exactnum import ONE, PRIME, CycloNum, reduce_mod_p, root_of_unity
 from .groups import SCHEMA, ContractViolation, FiniteGroup, SubgroupHandle
 
@@ -70,85 +71,67 @@ class TwistError(ValueError):
 
 
 class TwistSpec(Record, frozen=True):
-    """A flat-bundle twisting: either a cyclic index r (lens case) or an
-    integer combination of irreducibles of a polyhedral group."""
-    target: object                 # FiniteGroup or SubgroupHandle
-    cyclic_twist: int | None = None
-    combo: tuple | None = None     # ((irrep name, coefficient), ...)
-
-    @property
-    def group(self) -> FiniteGroup:
-        if isinstance(self.target, SubgroupHandle):
-            return self.target.group
-        return self.target
+    """A flat-bundle twist: an integer combination of the irreducible
+    characters of one group, as (row of `character_table(group)`,
+    coefficient) pairs sorted by row, with no zero coefficient.  A lens
+    twist omega^r is row r of its cyclic group's table."""
+    group: FiniteGroup
+    terms: tuple                   # ((row, coefficient), ...)
 
     @staticmethod
     def coerce(target, twist) -> "TwistSpec":
+        """The twist a caller names on a group or subgroup handle: an int r
+        for omega^r on a cyclic group, an irrep name, or a map from names
+        to coefficients, which add up where two names read one row."""
         if isinstance(twist, TwistSpec):
             return twist
+        G = target.group if isinstance(target, SubgroupHandle) else target
         if isinstance(twist, int):
-            return TwistSpec.cyclic(target, twist)
+            if G.num_classes != len(G):
+                raise TwistError(f"{G.name} is not cyclic; twist by irrep name")
+            return TwistSpec(G, ((twist % len(G), 1),))
         if isinstance(twist, str):
-            return TwistSpec.irrep(target, twist)
-        if isinstance(twist, dict):
-            return TwistSpec(target, combo=tuple(sorted(twist.items())))
-        raise TypeError(f"cannot interpret {twist!r} as a twist")
-
-    @staticmethod
-    def cyclic(target, r: int) -> "TwistSpec":
-        group = target.group if isinstance(target, SubgroupHandle) else target
-        q = len(group)
-        if group.num_classes != q:
-            raise TwistError(f"{group.name} is not cyclic; twist by irrep name")
-        return TwistSpec(target, cyclic_twist=r % q)
-
-    @staticmethod
-    def irrep(target, name: str) -> "TwistSpec":
-        return TwistSpec(target, combo=((name, 1),))
+            twist = {twist: 1}
+        elif not isinstance(twist, dict):
+            raise TypeError(f"cannot interpret {twist!r} as a twist")
+        table, terms = character_table(G), {}
+        for name, c in twist.items():
+            row = table.row(name)
+            terms[row] = terms.get(row, 0) + c
+        return TwistSpec(G, tuple(sorted((r, c) for r, c in terms.items() if c)))
 
     def character(self) -> ClassFunction:
         """The twist's character; a coefficient of 1 reads the table row
         itself, unscaled."""
-        G = self.group
-        if self.cyclic_twist is not None:
-            return cyclic_character(G, self.cyclic_twist)
-        table = character_table(G)
-        acc = None
-        for name, coeff in self.combo:
-            row = table[name].char
-            term = row if coeff == 1 else row * coeff
-            acc = term if acc is None else acc + term
-        if acc is None:
+        if not self.terms:
             raise TwistError("empty twist")
-        return acc
+        irreps = character_table(self.group).irreps
+        chars = [irreps[r].char if c == 1 else irreps[r].char * c for r, c in self.terms]
+        return sum(chars[1:], chars[0])
 
     def is_genuine(self) -> bool:
-        if self.cyclic_twist is not None:
-            return True
-        return all(c >= 0 for _, c in self.combo) and any(c > 0 for _, c in self.combo)
+        return all(c >= 0 for _, c in self.terms) and any(c > 0 for _, c in self.terms)
 
     def central_values(self) -> tuple:
-        """(chi(E), chi(-E)) from integers, chi(-E) = 0 when -E is not in
-        the group: the table rows' values, or 1 and (-1)^r for omega^r,
-        since -E = g^(q/2) in the class order `cyclic_character` reads."""
-        G = self.group
-        centre = [i for i in (G.identity_index, G.neg_identity_index) if i is not None]
-        if self.cyclic_twist is not None:
-            values = [1, (-1) ** self.cyclic_twist][:len(centre)]
-        else:
-            table = character_table(G)
-            values = [sum(c * table[name].char.value_on_element(i).as_integer()
-                          for name, c in self.combo if c) for i in centre]
-        return tuple(values + [0])[:2]
+        """(chi(E), chi(-E)), chi(-E) = 0 when -E is not in the group, from
+        the rows' labels: a row's value is its dimension at E, and at -E
+        minus that on a spinor row.  `CharacterTable._verify_exact` proves
+        both of every row of every table, cyclic ones too."""
+        irreps = character_table(self.group).irreps
+        signed = [(c * irreps[r].label.dimension, irreps[r].label.spinor)
+                  for r, c in self.terms]
+        at_e = sum(v for v, _ in signed)
+        if self.group.neg_identity_index is None:
+            return at_e, 0
+        return at_e, sum(-v if spinor else v for v, spinor in signed)
 
     def dimension(self) -> int:
         return self.central_values()[0]
 
     def describe(self) -> str:
-        if self.cyclic_twist is not None:
-            return f"w^{self.cyclic_twist} on {self.group.name}"
-        body = " + ".join(name if c == 1 else f"{c}x{name}"
-                          for name, c in self.combo if c)
+        irreps = character_table(self.group).irreps
+        body = " + ".join(irreps[r].name if c == 1 else f"{c}x{irreps[r].name}"
+                          for r, c in self.terms)
         return f"{body} on {self.group.name}"
 
 
@@ -159,40 +142,34 @@ def _genuine_twist(target, twist) -> TwistSpec:
     return tw
 
 
-def _column(G: FiniteGroup, irreducible, depth: int) -> tuple:
-    """m_0..m_{depth-1} (or more) of one irreducible of G: an irrep name,
-    or the index r of omega^r on a cyclic group.
+def _columns(G: FiniteGroup, depth: int) -> tuple:
+    """m_0..m_{depth-1} (or more) of every irreducible of G, one column
+    per row of its character table.
 
-    The columns of all irreducibles are kept on G and grow together by
-    v_{n+1} = A v_n - v_{n-1} (see the module docstring), each entry
-    checked to be non-negative.  A grown column replaces the old one
-    whole, so a concurrent caller sees a shorter or a longer column,
-    never a partial one."""
+    The columns are kept on G and grow together by v_{n+1} = A v_n -
+    v_{n-1} (see the module docstring), each entry checked to be
+    non-negative.  Grown columns replace the old ones whole, so a
+    concurrent caller sees shorter or longer columns, never a partial
+    one."""
     cols = G._multiplicity_columns
-    if len(cols.get(irreducible, ())) >= depth:
-        return cols[irreducible]
+    if cols and len(cols[0]) >= depth:
+        return cols
     table = character_table(G)
-    cyclic = G.num_classes == len(G)
-    if isinstance(irreducible, str):
-        irrep = table[irreducible]
-        irreducible = table.irreps.index(irrep) if cyclic else irrep.name
-    if len(cols.get(irreducible, ())) < depth:
-        keys = range(len(table)) if cyclic else [ir.name for ir in table]
-        grown = [list(cols.get(key, ())) for key in keys]
-        A = table.adjacency
-        for n in range(len(grown[0]), depth):
-            if n == 0:
-                v = [int(all(x == ONE for x in ir.char.values)) for ir in table]
-            else:
-                last = [col[n - 1] for col in grown]
-                v = [sum(m * row[j] for m, row in zip(last, A))
-                     - (grown[j][n - 2] if n > 1 else 0) for j in range(len(A))]
-            if min(v) < 0:
-                raise ContractViolation(f"negative multiplicity at level {n}: {v}")
-            for col, m in zip(grown, v):
-                col.append(m)
-        cols.update(zip(keys, map(tuple, grown)))
-    return cols[irreducible]
+    grown = [list(col) for col in cols] or [[] for _ in table]
+    A = table.adjacency
+    for n in range(len(grown[0]), depth):
+        if n == 0:
+            v = [int(all(x == ONE for x in ir.char.values)) for ir in table]
+        else:
+            last = [col[n - 1] for col in grown]
+            v = [sum(m * row[j] for m, row in zip(last, A))
+                 - (grown[j][n - 2] if n > 1 else 0) for j in range(len(A))]
+        if min(v) < 0:
+            raise ContractViolation(f"negative multiplicity at level {n}: {v}")
+        for col, m in zip(grown, v):
+            col.append(m)
+    G._multiplicity_columns = tuple(map(tuple, grown))
+    return G._multiplicity_columns
 
 
 def degeneracy(target, twist, n: int) -> int:
@@ -258,8 +235,6 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
     tw = _genuine_twist(target, twist)
     G = tw.group
     period = math.lcm(*G.orders)
-    terms = ([(tw.cyclic_twist, 1)] if tw.cyclic_twist is not None
-             else [(name, c) for name, c in tw.combo if c])
     at_e, at_neg_e = tw.central_values()
     step = []
     for p, sign in ((0, 1), (1, -1)):
@@ -269,8 +244,8 @@ def degeneracy_series(target, twist, n_max: int) -> DegeneracySeries:
                 f"period step Delta_{p} is not a non-negative integer: {d}")
         step.append(int(d))
     depth = min(n_max + 1, period)
-    columns = [(_column(G, irreducible, depth), c) for irreducible, c in terms]
-    block = [sum(c * col[n] for col, c in columns) for n in range(depth)]
+    columns = _columns(G, depth)
+    block = [sum(c * columns[row][n] for row, c in tw.terms) for n in range(depth)]
     if any(m < 0 or m % 1 for m in block):
         raise ContractViolation(
             f"period block is not non-negative integers: {block}")
@@ -534,12 +509,10 @@ def oracle_projector_degeneracy(target, twist, n: int) -> int:
     if not 0 <= n <= ORACLE_MAX_LEVEL:
         raise ValueError(f"oracle restricted to levels 0..{ORACLE_MAX_LEVEL}")
     tw = TwistSpec.coerce(target, twist)
-    if tw.cyclic_twist is None and (len(tw.combo) != 1 or tw.combo[0][1] != 1):
+    if len(tw.terms) != 1 or tw.terms[0][1] != 1:
         raise TwistError("oracle accepts irreducible twists only")
     G = tw.group
-    table = character_table(G)
-    row = table.residues[tw.cyclic_twist if tw.cyclic_twist is not None
-                         else table.irreps.index(table[tw.combo[0][0]])]
+    row = character_table(G).residues[tw.terms[0][0]]
     dim = row[G.class_of[G.identity_index]]
     bits = _slot_bits(len(G))
     P = sum(row[G.class_of[G.inv[rep]]] * C

@@ -21,6 +21,7 @@ from spaceforms.exactnum import (CONDUCTOR, DEGREE, ONE, ZERO, embed_float,
                                  root_of_unity)
 from spaceforms.groups import ContractViolation
 from spaceforms.induction import induce_character
+from spaceforms.spectra import TwistSpec
 
 EXPECT_NAMES = {
     "2T": ["1", "1'", "1''", "2s", "2s'", "2s''", "3"],
@@ -85,6 +86,19 @@ def table_groups(all_groups):
     groups_ += [groups.cyclic_group(q) for q in (1, 2, 4, 6)]
     assert len(groups_) == 19
     return groups_
+
+
+def test_central_values_are_the_values_of_every_row(all_groups):
+    # a twist's chi(E) and chi(-E) are read off its rows' labels; here they
+    # are read off the values of every row of every table
+    for G in table_groups(all_groups):
+        for r, ir in enumerate(character_table(G)):
+            at_e = ir.char.value_on_element(G.identity_index).as_integer()
+            at_neg_e = (0 if G.neg_identity_index is None
+                        else ir.char.value_on_element(G.neg_identity_index).as_integer())
+            got = TwistSpec(G, ((r, 1),)).central_values()
+            assert got == (at_e, at_neg_e), (G.name, ir.name)
+            assert TwistSpec(G, ((r, 3),)).central_values() == (3 * at_e, 3 * at_neg_e)
 
 
 def test_mckay_adjacency_is_the_inner_product_definition(all_groups):
@@ -467,8 +481,8 @@ def test_second_prime_gives_the_same_table(all_groups):
     # 601 = 5 * 120 + 1 is another prime carrying the 120th roots of unity
     for G in all_groups:
         table = {ir.char.values for ir in character_table(G)}
-        assert {c.values for c in _dixon_characters(G, 241)} == table
-        assert {c.values for c in _dixon_characters(G, 601)} == table
+        assert {c.values for c in _dixon_characters(G, 241)[0]} == table
+        assert {c.values for c in _dixon_characters(G, 601)[0]} == table
 
 
 def test_unsuitable_primes_are_refused(g2t):

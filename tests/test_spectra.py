@@ -87,9 +87,33 @@ def test_twist_validation(g2t):
     with pytest.raises(TwistError):
         degeneracy(g2t, {"3": -1, "1": 5}, 4)
     with pytest.raises(TwistError):
-        TwistSpec.cyclic(g2t, 1)
+        TwistSpec.coerce(g2t, 1)
     with pytest.raises(KeyError):
         degeneracy(g2t, "4s", 2)   # 2T has no 4s; valid names listed
+
+
+def test_a_lens_index_is_the_row_named_w_r(all_groups):
+    # one twist type: omega^r by its index is row r of the cyclic table,
+    # the row named w^r, on a cyclic group or a subgroup handle alike
+    hosts = [groups.cyclic_group(q) for q in (2, 4, 6)]
+    hosts += [G.cyclic_subgroup(gen) for G in all_groups
+              for gen in ("R", "S", "T", "RST")]
+    assert len(hosts) == 15
+    for H in hosts:
+        q = len(H.group) if isinstance(H, groups.SubgroupHandle) else len(H)
+        for r in range(q):
+            tw = TwistSpec.coerce(H, r)
+            assert tw == TwistSpec.coerce(H, f"w^{r}") == TwistSpec.coerce(H, r + q)
+            assert tw.terms == ((r, 1),)
+            assert tw.describe().startswith(f"w^{r} on ")
+    # the one row of Z1 is the trivial character, named 1 as on 2T, 2O, 2I
+    assert TwistSpec.coerce(groups.cyclic_group(1), 0).describe() == "1 on Z1"
+
+
+def test_names_of_one_row_add_their_coefficients(g2t):
+    assert TwistSpec.coerce(g2t, {"2S": 1, "2s": 2}) == TwistSpec.coerce(g2t, {"2s": 3})
+    assert TwistSpec.coerce(g2t, {"2s": 3}).terms == ((character_table(g2t).row("2s"), 3),)
+    assert TwistSpec.coerce(g2t, {"2s": 1, "2S": -1, "1": 0}).terms == ()
 
 
 def test_series_exports(g2t):
@@ -182,8 +206,9 @@ def test_zeta_tail_bound_covers_a_4000_level_sum(g2i):
 
 def test_tail_bounds_read_integers_only(g2i, monkeypatch):
     # the heat and zeta tail bounds read dim rho from the twist's integer
-    # values at E (`TwistSpec.central_values`): with the twist character
-    # and CycloNum products and sums refused they stay bit for bit the same
+    # table rows' labels (`TwistSpec.central_values`): with the twist
+    # character and CycloNum products and sums refused they stay bit for
+    # bit the same
     series = [degeneracy_series(groups.cyclic_group(10), 3, 40),
               degeneracy_series(g2i, {"2s": 1, "4s": 2}, 40)]
     weights = [SpectralWeight.heat(0.05), SpectralWeight.zeta(2.5)]
@@ -192,7 +217,7 @@ def test_tail_bounds_read_integers_only(g2i, monkeypatch):
 
     def refused(*args):
         raise AssertionError("the tail bounds take a field operation")
-    monkeypatch.setattr(spectra, "cyclic_character", refused)
+    monkeypatch.setattr(TwistSpec, "character", refused)
     monkeypatch.setattr(CycloNum, "__mul__", refused)
     monkeypatch.setattr(CycloNum, "__add__", refused)
     assert [spectral_sum(s, w) for s in series for w in weights] == want
@@ -300,16 +325,15 @@ def test_closed_form_series_matches_direct_path(all_groups):
                              for n in range(n_max + 1))
                 assert got == want, (G.name, target, twist, n_max)
                 if not isinstance(twist, dict):
-                    depths = {len(c) for c in host._multiplicity_columns.values()}
+                    depths = {len(c) for c in host._multiplicity_columns}
                     assert len(depths) == 1
                     assert depths.pop() >= min(n_max + 1, period)
-                    assert len(host._multiplicity_columns[twist]) >= min(n_max + 1, period)
         hosts = [G] + [G.cyclic_subgroup(gen).group
                        for gen in ("R", "S", "T", "RST")]
         for host in hosts:
             period = math.lcm(*host.orders)
-            assert {len(c) for c in host._multiplicity_columns.values()} == {period}
-        assert set(G._multiplicity_columns) == {ir.name for ir in table}
+            assert {len(c) for c in host._multiplicity_columns} == {period}
+        assert len(G._multiplicity_columns) == len(table)
 
 
 def test_series_reuses_the_irreducible_columns(g2i, monkeypatch):
@@ -376,8 +400,8 @@ def test_recurrence_columns_equal_the_direct_inner_product(all_groups):
               + [groups.cyclic_group(q) for q in (2, 4, 6)]]
     for host, irreducibles in hosts:
         depth = 2 * math.lcm(*host.orders) + 2
-        for irreducible in irreducibles:
-            col = spectra._column(host, irreducible, depth)
+        for irreducible, col in zip(irreducibles, spectra._columns(host, depth),
+                                    strict=True):
             assert col[:depth] == tuple(degeneracy(host, irreducible, n) // (n + 1)
                                         for n in range(depth)), (host, irreducible)
 

@@ -43,7 +43,7 @@ PINS = {
         "cli.resolve_group": 1,
         "exactnum.add": 213,
         "exactnum.mul": 213,
-        "exactnum.reduce_mod_p": 180,
+        "exactnum.reduce_mod_p": 99,
         "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
     },
@@ -55,7 +55,7 @@ PINS = {
         "cli.resolve_group": 1,
         "exactnum.add": 369,
         "exactnum.mul": 213,
-        "exactnum.reduce_mod_p": 180,
+        "exactnum.reduce_mod_p": 99,
         "exactnum.trace": 2187,
         "groups.build_binary_polyhedral": 1,
         "induction.induce_character": 22,
@@ -70,7 +70,7 @@ PINS = {
         "cli.resolve_group": 1,
         "exactnum.add": 213,
         "exactnum.mul": 213,
-        "exactnum.reduce_mod_p": 180,
+        "exactnum.reduce_mod_p": 99,
         "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
         "mckay.mckay_graph": 1,
@@ -91,12 +91,12 @@ PINS = {
     },
     "spectrum 2I --irrep 2s --nmax 20": {
         "exit": 0,
-        "characters.character_table": 2,
+        "characters.character_table": 5,
         "characters.inner_product": 45,
         "cli.resolve_group": 1,
         "exactnum.add": 213,
         "exactnum.mul": 213,
-        "exactnum.reduce_mod_p": 180,
+        "exactnum.reduce_mod_p": 99,
         "exactnum.trace": 405,
         "groups.build_binary_polyhedral": 1,
         "spectra.degeneracy_series": 1,
@@ -104,13 +104,13 @@ PINS = {
     },
     "verify isospectral --nmax 60": {
         "exit": 0,
-        "characters.character_table": 135,
+        "characters.character_table": 255,
         "characters.cyclic_character": 120,
         "characters.inner_product": 593,
         "cli.resolve_group": 3,
         "exactnum.add": 795,
         "exactnum.mul": 431,
-        "exactnum.reduce_mod_p": 864,
+        "exactnum.reduce_mod_p": 670,
         "exactnum.trace": 4833,
         "groups.build_binary_polyhedral": 3,
         "induction.induce_character": 60,
@@ -136,13 +136,13 @@ PINS = {
     # per twist: a restored per-level direct route shows as spectra.degeneracy
     "verify oracle --nmax 60": {
         "exit": 0,
-        "characters.character_table": 357,
+        "characters.character_table": 609,
         "characters.cyclic_character": 12,
         "characters.inner_product": 109,
         "cli.resolve_group": 6,
         "exactnum.add": 586,
         "exactnum.mul": 638,
-        "exactnum.reduce_mod_p": 544,
+        "exactnum.reduce_mod_p": 350,
         "exactnum.trace": 889,
         "groups.build_binary_polyhedral": 3,
         "groups.cyclic_group": 3,
@@ -155,13 +155,13 @@ PINS = {
     # the cyclic tables take no row products
     "verify all --nmax 60": {
         "exit": 1,
-        "characters.character_table": 567,
+        "characters.character_table": 1026,
         "characters.cyclic_character": 196,
         "characters.inner_product": 593,
         "cli.resolve_group": 6,
         "exactnum.add": 3220,
         "exactnum.mul": 649,
-        "exactnum.reduce_mod_p": 972,
+        "exactnum.reduce_mod_p": 778,
         "exactnum.trace": 4833,
         "groups.build_binary_polyhedral": 3,
         "groups.cyclic_group": 3,

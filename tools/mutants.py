@@ -64,9 +64,9 @@ MUTANTS = (
            ("tests/test_induction.py::test_reference_tables_reproduced",)),
     # a cyclic group whose classes do not hold the powers of g in order
     # gets a table whose rows are not characters
-    Mutant("cyclic-table-out-of-power-order-accepted", "src/spaceforms/characters.py",
-           "                if G.class_of[cur] != j:\n",
-           "                if False:\n",
+    Mutant("cyclic-table-out-of-power-order-accepted", "src/spaceforms/groups.py",
+           "        if cur != j or G.class_of[cur] != j:\n",
+           "        if False:\n",
            ("tests/test_characters.py::"
             "test_a_cyclic_group_whose_classes_miss_the_powers_of_g_is_refused",)),
     # every table of an abelian group skips the row products, not only one
@@ -131,6 +131,17 @@ MUTANTS = (
            "mu = (_mobius(n // d) if n % d == 0 else 0) * (-1 if d == 1 else 1)",
            ("tests/test_exactnum.py::"
             "test_cyclotomic_polynomials_multiply_to_x_n_minus_1",)),
+    # a twist's chi(-E) read as its dimension on spinor rows too, which
+    # makes both period steps of a spinor series wrong
+    Mutant("central-values-without-spinor-sign", "src/spaceforms/spectra.py",
+           "sum(-v if spinor else v for v, spinor in signed)",
+           "sum(v for v, spinor in signed)",
+           ("tests/test_characters.py::test_central_values_are_the_values_of_every_row",)),
+    # a lens index r stored as the row of omega^(r+1)
+    Mutant("lens-index-stored-as-row-r-plus-1", "src/spaceforms/spectra.py",
+           "return TwistSpec(G, ((twist % len(G), 1),))",
+           "return TwistSpec(G, (((twist + 1) % len(G), 1),))",
+           ("tests/test_spectra.py::test_a_lens_index_is_the_row_named_w_r",)),
 )
 
 
